@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from enum import IntEnum
 from pathlib import Path
 
@@ -89,6 +89,10 @@ class DeviceParams:
     dispersive_shift_01: float | None = None
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.kappa < 0:
             raise ConfigError(f"kappa must be >= 0, got {self.kappa}")
         if self.coupling < 0:

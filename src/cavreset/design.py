@@ -6,12 +6,15 @@ vacuum exactly in the linear model; the closed form is
 
     eps_r e^{i phi_r} = eps_n e^{i phi_n} (1 - e^{-tau C_j/2}) / (1 - e^{dtau C_j/2}),
 
-one complex condition solved by one complex drive.  With a Kerr term (or
-when one pulse must serve both qubit states at once) no closed form exists
-and the drive is found by direct minimization of the end-of-window photon
-number.  This module provides both routes, plus residual-landscape maps,
-an amplitude-scaling check, and a three-way comparison against square-pulse
-free decay and a two-segment active baseline.
+one complex condition solved by one complex drive.  Because every end
+field of the linear model is affine in the reset drive, the joint design
+for both qubit states and the two-segment baseline are weighted linear
+least-squares problems with exact solutions too.  With a Kerr term no
+closed form exists: Levenberg-Marquardt polishes the same residual vector
+on RK4 endpoints, starting from the linear optimum.  This module provides
+both routes, plus residual-landscape maps, an amplitude-scaling check, and
+a three-way comparison against square-pulse free decay and a two-segment
+active baseline.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -41,19 +44,13 @@ from .errors import (
     NotConverged,
 )
 from .fitting import FitResult, exp_decay_fit
-from .optimize import nelder_mead
-from .pulses import DriveSegment, PulseSchedule, SchemeLabel, wrap_phase
+from .optimize import levenberg_marquardt
+from .pulses import DriveSegment, PulseSchedule, SchemeLabel
 
 #: Residual-photon level whose enclosing grid cells the maps report.
 CONTOUR_LEVEL = 0.1
 
-#: Optimizer stops once the weighted residual drops below this (photons).
-OBJECTIVE_TARGET = 1e-6
-
-#: ... or once the simplex has collapsed to this diameter.
-SIMPLEX_TOL = 1e-10
-
-#: Default RK4 step for optimizer objectives, ns.
+#: RK4 step for Kerr-model endpoints, ns.
 DESIGN_DT = 0.05
 
 
@@ -139,15 +136,114 @@ class ResetSolution:
         }
 
 
-def _residuals_closed_form(
+def _end_photons(
     params: DeviceParams,
     schedule: PulseSchedule,
     chi_source: str,
 ) -> dict[QubitState, float]:
-    return {
-        j: abs(final_alpha(params, schedule, j, chi_source=chi_source)) ** 2
-        for j in (QubitState.GROUND, QubitState.EXCITED)
+    """|alpha_j|^2 after the whole schedule for both qubit states.
+
+    Exact in the linear model; RK4 at DESIGN_DT with a Kerr term.
+    """
+    if params.kerr_coeff == 0.0:
+        ends = {j: final_alpha(params, schedule, j, chi_source=chi_source) for j in QubitState}
+    else:
+        ends = {
+            j: ode_final_alpha(params, schedule, j, dt=DESIGN_DT, chi_source=chi_source)
+            for j in QubitState
+        }
+    return {j: abs(a) ** 2 for j, a in ends.items()}
+
+
+def _least_squares_drive(
+    params: DeviceParams,
+    targets: tuple[QubitState, ...],
+    weights: Mapping[QubitState, float],
+    readout: DriveSegment,
+    reset: Callable[[np.ndarray], PulseSchedule],
+    chi_source: str,
+    start: Sequence[float] | None = None,
+) -> tuple[np.ndarray, bool, int]:
+    """Two real unknowns x minimizing sum_j w_j |alpha_j(end)|^2.
+
+    `reset(x)` builds the reset segments and must be linear in x.  In the
+    linear model each end field is affine in x, alpha_j = f_j + B_j x, so
+    the minimum is one least-squares solve over the rows sqrt(w_j) [Re, Im]
+    stacked across the target states.  With a Kerr term Levenberg-Marquardt
+    minimizes the same residual vector over RK4 endpoints, started from
+    `start` or else from the linear optimum.
+
+    Returns (x, converged, objective evaluations).
+    """
+    readout_sched = PulseSchedule(segments=(readout,))
+    scale = {j: math.sqrt(weights[j]) for j in targets}
+    if params.kerr_coeff == 0.0:
+        rows, rhs = [], []
+        for j in targets:
+            alpha_tau = final_alpha(params, readout_sched, j, chi_source=chi_source)
+            free = final_alpha(params, reset(np.zeros(2)), j, alpha0=alpha_tau, chi_source=chi_source)
+            cols = [final_alpha(params, reset(e), j, chi_source=chi_source) for e in np.eye(2)]
+            rows += [[scale[j] * b.real for b in cols], [scale[j] * b.imag for b in cols]]
+            rhs += [-scale[j] * free.real, -scale[j] * free.imag]
+        x, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
+        return x, True, 0
+
+    if start is None:
+        start, _, _ = _least_squares_drive(
+            params.with_(kerr_coeff=0.0), targets, weights, readout, reset, chi_source
+        )
+    alpha_tau = {
+        j: ode_final_alpha(params, readout_sched, j, dt=DESIGN_DT, chi_source=chi_source)
+        for j in targets
     }
+
+    def residuals(x: np.ndarray) -> np.ndarray:
+        sched = reset(x)
+        out = []
+        for j in targets:
+            a = ode_final_alpha(
+                params, sched, j, dt=DESIGN_DT, alpha0=alpha_tau[j], chi_source=chi_source
+            )
+            out += [scale[j] * a.real, scale[j] * a.imag]
+        return np.array(out)
+
+    lm = levenberg_marquardt(residuals, start)
+    return lm.params, lm.success, lm.nfev
+
+
+def _sspe_solution(
+    params: DeviceParams,
+    targets: tuple[QubitState, ...],
+    weights: Mapping[QubitState, float],
+    readout: DriveSegment,
+    reset_duration: float,
+    chi_source: str,
+    method: str,
+    start: Sequence[float] | None = None,
+) -> ResetSolution:
+    """Best single reset segment for the weighted targets; x = (Re, Im) of the drive."""
+
+    def reset(x: np.ndarray) -> PulseSchedule:
+        drive = complex(float(x[0]), float(x[1]))
+        return PulseSchedule(segments=(DriveSegment.from_complex(drive, reset_duration),))
+
+    x, converged, evaluations = _least_squares_drive(
+        params, targets, weights, readout, reset, chi_source, start
+    )
+    segment = reset(x).segments[0]
+    schedule = PulseSchedule(segments=(readout, segment))
+    return ResetSolution(
+        reset_amplitude=segment.amplitude,
+        reset_phase=segment.phase,
+        reset_duration=reset_duration,
+        readout=readout,
+        residual_photons=_end_photons(params, schedule, chi_source),
+        target_states=targets,
+        mode=SolutionMode.PER_STATE if len(targets) == 1 else SolutionMode.JOINT,
+        method=method,
+        converged=converged,
+        iterations=evaluations,
+    )
 
 
 def sspe_analytic(
@@ -158,6 +254,8 @@ def sspe_analytic(
     chi_source: str = "formula",
 ) -> ResetSolution:
     """Exact linear-model reset drive for one qubit state.
+
+    This is the one-state case of the weighted solve of `sspe_optimize`.
 
     Raises:
         KerrNotSupported: the closed form does not cover kerr_coeff != 0.
@@ -170,63 +268,11 @@ def sspe_analytic(
     if reset_duration <= 0.0:
         raise ConfigError(f"reset_duration must be > 0, got {reset_duration}")
     c = complex_rate(params, j, chi_source).c
-    tau = readout.duration
-    denominator = 1.0 - np.exp(0.5 * c * reset_duration)
-    if abs(denominator) < 1e-12:
+    if abs(1.0 - np.exp(0.5 * c * reset_duration)) < 1e-12:
         raise DegenerateDuration(
             f"reset window {reset_duration} ns is degenerate for C = {c}"
         )
-    numerator = 1.0 - np.exp(-0.5 * c * tau)
-    drive = readout.complex_amplitude * numerator / denominator
-    amplitude = abs(drive)
-    phase = wrap_phase(math.atan2(drive.imag, drive.real)) if amplitude > 0.0 else 0.0
-
-    segment = DriveSegment(amplitude, phase, reset_duration)
-    schedule = PulseSchedule(segments=(readout, segment), label=SchemeLabel.SSPE.value)
-    residuals = _residuals_closed_form(params, schedule, chi_source)
-    return ResetSolution(
-        reset_amplitude=amplitude,
-        reset_phase=phase,
-        reset_duration=reset_duration,
-        readout=readout,
-        residual_photons=residuals,
-        target_states=(j,),
-        mode=SolutionMode.PER_STATE,
-        method="analytic",
-        converged=True,
-        iterations=0,
-    )
-
-
-def _readout_endpoints(
-    params: DeviceParams,
-    readout: DriveSegment,
-    states: Sequence[QubitState],
-    chi_source: str,
-    dt: float,
-) -> dict[QubitState, complex]:
-    sched = PulseSchedule(segments=(readout,))
-    return {j: ode_final_alpha(params, sched, j, dt=dt, chi_source=chi_source) for j in states}
-
-
-def _zero_solution(
-    readout: DriveSegment,
-    reset_duration: float,
-    states: tuple[QubitState, ...],
-    mode: SolutionMode,
-) -> ResetSolution:
-    return ResetSolution(
-        reset_amplitude=0.0,
-        reset_phase=0.0,
-        reset_duration=reset_duration,
-        readout=readout,
-        residual_photons={QubitState.GROUND: 0.0, QubitState.EXCITED: 0.0},
-        target_states=states,
-        mode=mode,
-        method="numeric",
-        converged=True,
-        iterations=0,
-    )
+    return _sspe_solution(params, (j,), {j: 1.0}, readout, reset_duration, chi_source, "analytic")
 
 
 def sspe_optimize(
@@ -236,93 +282,34 @@ def sspe_optimize(
     reset_duration: float,
     weights: Mapping[QubitState | int, float] | None = None,
     chi_source: str = "formula",
-    dt: float = DESIGN_DT,
     max_amplitude: float | None = None,
     seed: tuple[float, float] | None = None,
-    max_iterations: int = 500,
 ) -> ResetSolution:
     """Minimize the weighted end-of-window photon number over (eps_r, phi_r).
 
-    The search runs Nelder-Mead seeded from the linear analytic solution of
-    the lowest-index target state (or an explicit `seed`), with the
-    trajectory endpoints integrated by RK4 so a Kerr term is honored.
-    Convergence means weighted residual < 1e-6 photons or simplex diameter
-    < 1e-10; a non-converged result is returned with the flag down rather
-    than raised (use `require_converged` to make it fatal).
+    Linear model: each state's end field is affine in the complex drive u,
+    alpha_j = alpha_j(tau) e_j + b_j u, so the optimum is the weighted
+    least-squares drive u* = -sum_j w_j conj(b_j) alpha_j(tau) e_j /
+    sum_j w_j |b_j|^2, exact and found without iteration.  With a Kerr term
+    Levenberg-Marquardt polishes (Re u, Im u) on RK4 endpoints, starting
+    from `seed` (amplitude, phase) or else the joint linear optimum; a
+    result whose polish did not converge comes back with the flag down
+    (use `require_converged` to make it fatal).
 
     Raises:
         AmplitudeCapExceeded: optimum violates max_amplitude.
     """
     targets = _normalize_states(states)
-    mode = SolutionMode.PER_STATE if len(targets) == 1 else SolutionMode.JOINT
     if reset_duration <= 0.0:
         raise ConfigError(f"reset_duration must be > 0, got {reset_duration}")
     w = _resolve_weights(targets, weights)
-
-    if readout.amplitude == 0.0:
-        return _zero_solution(readout, reset_duration, targets, mode)
-
-    alpha_tau = _readout_endpoints(params, readout, targets, chi_source, dt)
-
-    if seed is None:
-        linear = params.with_(kerr_coeff=0.0)
-        seed_solution = sspe_analytic(linear, targets[0], readout, reset_duration, chi_source)
-        seed = (seed_solution.reset_amplitude, seed_solution.reset_phase)
-
-    def objective(x: np.ndarray) -> float:
-        eps, phi = float(x[0]), float(x[1])
-        segment = DriveSegment.from_complex(eps * complex(math.cos(phi), math.sin(phi)), reset_duration)
-        sched = PulseSchedule(segments=(segment,))
-        total = 0.0
-        for j in targets:
-            a = ode_final_alpha(
-                params, sched, j, dt=dt, alpha0=alpha_tau[j], chi_source=chi_source
-            )
-            total += w[j] * (a.real * a.real + a.imag * a.imag)
-        return total
-
-    result = nelder_mead(
-        objective,
-        x0=[seed[0], seed[1]],
-        scale=[max(0.05 * abs(seed[0]), 1e-4), 0.1],
-        f_target=OBJECTIVE_TARGET,
-        diam_tol=SIMPLEX_TOL,
-        max_iter=max_iterations,
-    )
-
-    eps_opt, phi_opt = float(result.x[0]), float(result.x[1])
-    if eps_opt < 0.0:
-        eps_opt = -eps_opt
-        phi_opt += math.pi
-    phi_opt = wrap_phase(phi_opt)
-    if max_amplitude is not None and eps_opt > max_amplitude:
+    start = None if seed is None else [seed[0] * math.cos(seed[1]), seed[0] * math.sin(seed[1])]
+    sol = _sspe_solution(params, targets, w, readout, reset_duration, chi_source, "numeric", start)
+    if max_amplitude is not None and sol.reset_amplitude > max_amplitude:
         raise AmplitudeCapExceeded(
-            f"optimal reset amplitude {eps_opt:.6g} rad/ns exceeds cap {max_amplitude}"
+            f"optimal reset amplitude {sol.reset_amplitude:.6g} rad/ns exceeds cap {max_amplitude}"
         )
-
-    reset_seg = DriveSegment(eps_opt, phi_opt, reset_duration)
-    reset_sched = PulseSchedule(segments=(reset_seg,))
-    all_states = (QubitState.GROUND, QubitState.EXCITED)
-    endpoints = _readout_endpoints(params, readout, all_states, chi_source, dt)
-    residuals = {}
-    for j in all_states:
-        a = ode_final_alpha(
-            params, reset_sched, j, dt=dt, alpha0=endpoints[j], chi_source=chi_source
-        )
-        residuals[j] = abs(a) ** 2
-
-    return ResetSolution(
-        reset_amplitude=eps_opt,
-        reset_phase=phi_opt,
-        reset_duration=reset_duration,
-        readout=readout,
-        residual_photons=residuals,
-        target_states=targets,
-        mode=mode,
-        method="numeric",
-        converged=result.converged,
-        iterations=result.iterations,
-    )
+    return sol
 
 
 def clear_optimize(
@@ -332,20 +319,18 @@ def clear_optimize(
     reset_duration: float,
     weights: Mapping[QubitState | int, float] | None = None,
     chi_source: str = "formula",
-    dt: float = DESIGN_DT,
-    max_iterations: int = 2000,
 ) -> PulseSchedule:
     """Two-segment active baseline: fixed phases, two real amplitudes.
 
     The reset window is split into equal halves with phases pinned to
     phi_n and phi_n + pi; the two signed amplitudes are the free
-    parameters, seeded from the linear 2x2 least-squares solution for the
-    lowest-index target state and polished by Nelder-Mead on the same
-    weighted residual objective as `sspe_optimize`.  Negative amplitudes
-    fold into a pi phase advance in the returned segments.
+    parameters of the same weighted least-squares solve as `sspe_optimize`
+    (exact in the linear model, Levenberg-Marquardt from the linear
+    optimum with a Kerr term).  Negative amplitudes fold into a pi phase
+    advance in the returned segments.
 
     Raises:
-        NotConverged: the polish met neither stopping rule.
+        NotConverged: the Kerr polish did not converge.
     """
     targets = _normalize_states(states)
     if reset_duration <= 0.0:
@@ -353,64 +338,16 @@ def clear_optimize(
     w = _resolve_weights(targets, weights)
     half = reset_duration / 2.0
 
-    def build(e1: float, e2: float) -> tuple[DriveSegment, DriveSegment]:
+    def reset(x: np.ndarray) -> PulseSchedule:
+        e1, e2 = float(x[0]), float(x[1])
         p1 = readout.phase + (math.pi if e1 < 0.0 else 0.0)
         p2 = readout.phase + math.pi + (math.pi if e2 < 0.0 else 0.0)
-        return (
-            DriveSegment(abs(e1), p1, half),
-            DriveSegment(abs(e2), p2, half),
-        )
+        return PulseSchedule(segments=(DriveSegment(abs(e1), p1, half), DriveSegment(abs(e2), p2, half)))
 
-    if readout.amplitude == 0.0:
-        return PulseSchedule(
-            segments=(readout, *build(0.0, 0.0)), label=SchemeLabel.CLEAR.value
-        )
-
-    # Linear seed for the first target state: the endpoint is affine in
-    # (e1, e2), so zeroing it is a 2x2 real least-squares problem.
-    seed_state = targets[0]
-    linear = params.with_(kerr_coeff=0.0)
-    c = complex_rate(linear, seed_state, chi_source).c
-    alpha_tau = final_alpha(linear, PulseSchedule(segments=(readout,)), seed_state, chi_source=chi_source)
-    e_half = np.exp(-0.5 * c * half)
-    direction = -2j * np.exp(1j * readout.phase) / c
-    coeff1 = direction * (1.0 - e_half) * e_half
-    coeff2 = -direction * (1.0 - e_half)
-    rhs_vec = -alpha_tau * e_half * e_half
-    a_mat = np.array(
-        [[coeff1.real, coeff2.real], [coeff1.imag, coeff2.imag]], dtype=float
-    )
-    b_vec = np.array([rhs_vec.real, rhs_vec.imag], dtype=float)
-    seed_amps, *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
-
-    all_targets = targets
-    alpha_by_state = _readout_endpoints(params, readout, all_targets, chi_source, dt)
-
-    def objective(x: np.ndarray) -> float:
-        seg1, seg2 = build(float(x[0]), float(x[1]))
-        sched = PulseSchedule(segments=(seg1, seg2))
-        total = 0.0
-        for j in all_targets:
-            a = ode_final_alpha(
-                params, sched, j, dt=dt, alpha0=alpha_by_state[j], chi_source=chi_source
-            )
-            total += w[j] * (a.real * a.real + a.imag * a.imag)
-        return total
-
-    result = nelder_mead(
-        objective,
-        x0=[float(seed_amps[0]), float(seed_amps[1])],
-        scale=[max(0.05 * abs(seed_amps[0]), 1e-4), max(0.05 * abs(seed_amps[1]), 1e-4)],
-        f_target=OBJECTIVE_TARGET,
-        diam_tol=SIMPLEX_TOL,
-        max_iter=max_iterations,
-    )
-    if not result.converged:
-        raise NotConverged(
-            f"baseline amplitude search stalled at residual {result.fun:.3g} photons"
-        )
-    seg1, seg2 = build(float(result.x[0]), float(result.x[1]))
-    return PulseSchedule(segments=(readout, seg1, seg2), label=SchemeLabel.CLEAR.value)
+    x, converged, _ = _least_squares_drive(params, targets, w, readout, reset, chi_source)
+    if not converged:
+        raise NotConverged("baseline amplitude polish did not converge")
+    return PulseSchedule(segments=(readout, *reset(x)), label=SchemeLabel.CLEAR.value)
 
 
 # -- residual maps ---------------------------------------------------------

@@ -83,7 +83,7 @@ class Trajectory:
 
 
 def read_trajectory_csv(path: str | Path, qubit_state: QubitState | int = 0) -> Trajectory:
-    data = np.genfromtxt(path, delimiter=",", names=True)
+    data = np.genfromtxt(path, delimiter=",", names=True, ndmin=1)
     alpha = data["re_alpha"] + 1j * data["im_alpha"]
     return Trajectory(times=data["t_ns"], alpha=alpha, qubit_state=QubitState(qubit_state))
 
@@ -335,14 +335,19 @@ def ring_up_segment(
 ) -> DriveSegment:
     """Constant segment whose steady state holds target_photons for `state`.
 
-    The amplitude solves |alpha_ss|^2 = n, i.e. eps = sqrt(n) |C| / 2; the
-    segment does not necessarily reach n within `duration`, it just drives
-    toward it.
+    The amplitude inverts the steady-state condition of the Kerr cavity,
+    n [4 (delta + K_c n)^2 + kappa^2] = 4 eps^2, i.e.
+    eps = sqrt(n [4 (delta + K_c n)^2 + kappa^2]) / 2, which is
+    sqrt(n) |C| / 2 at K_c = 0.  With a Kerr term a strong drive can hold
+    more than one steady state; n is the one reached from vacuum as long as
+    the drive stays below the bistable range.  The segment does not
+    necessarily reach n within `duration`, it just drives toward it.
     """
     if target_photons < 0.0:
         raise ConfigError(f"target photon number must be >= 0, got {target_photons}")
     c = complex_rate(params, state, chi_source).c
     if abs(c) < _C_TINY:
         raise ConfigError("steady-state targeting undefined for C = 0")
-    eps = math.sqrt(target_photons) * abs(c) / 2.0
+    shifted = 0.5 * c.imag + params.kerr_coeff * MHZ_TO_RAD_NS * target_photons
+    eps = 0.5 * math.sqrt(target_photons * (4.0 * shifted * shifted + c.real * c.real))
     return DriveSegment(amplitude=eps, phase=phase, duration=duration)

@@ -1,12 +1,10 @@
-"""Small optimization utilities shared by the pulse-design and fit code.
+"""Least-squares machinery shared by the pulse-design and fit code.
 
-Two workhorses live here:
-
-* a Nelder-Mead simplex search with a dual stopping rule (absolute objective
-  target OR simplex collapse), used where the objective is a residual that
-  should reach numerical zero, and
-* a Levenberg-Marquardt least-squares wrapper with a central-difference
-  Jacobian, used by the data-fitting models.
+One workhorse lives here: a Levenberg-Marquardt wrapper with a
+central-difference Jacobian.  The data-fitting models use it, and so does
+the Kerr route of the reset design, which polishes the linear-model
+optimum on RK4 endpoints.  scipy is imported on the first call, so
+importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -15,124 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
-
-from .errors import ConfigError
-
-
-@dataclass
-class SimplexResult:
-    x: np.ndarray
-    fun: float
-    iterations: int
-    evaluations: int
-    converged: bool
-    diameter: float
-
-
-def nelder_mead(
-    func: Callable[[np.ndarray], float],
-    x0: Sequence[float],
-    scale: Sequence[float] | float | None = None,
-    f_target: float | None = None,
-    diam_tol: float = 1e-10,
-    max_iter: int = 5000,
-) -> SimplexResult:
-    """Minimize func by the Nelder-Mead simplex method.
-
-    Stops as soon as the best objective value drops to f_target or the
-    simplex diameter (max vertex distance from the best point) falls below
-    diam_tol, whichever happens first.  Standard reflection / expansion /
-    contraction / shrink coefficients (1, 2, 0.5, 0.5).
-
-    scale sets the initial simplex edge per coordinate; the default is
-    5% of |x0_i|, or 0.01 where x0_i is zero.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.size
-    if n == 0:
-        raise ConfigError("need at least one parameter")
-    if scale is None:
-        steps = np.where(x0 != 0.0, 0.05 * np.abs(x0), 0.01)
-    elif np.isscalar(scale):
-        steps = np.full(n, float(scale))
-    else:
-        steps = np.asarray(scale, dtype=float)
-        if steps.shape != (n,):
-            raise ConfigError("scale must be scalar or match x0")
-
-    verts = [x0.copy()]
-    for i in range(n):
-        v = x0.copy()
-        v[i] += steps[i]
-        verts.append(v)
-    verts = np.array(verts)
-    vals = np.array([func(v) for v in verts])
-    evals = n + 1
-
-    def diameter() -> float:
-        best = verts[np.argmin(vals)]
-        return float(np.max(np.linalg.norm(verts - best, axis=1)))
-
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        order = np.argsort(vals)
-        verts = verts[order]
-        vals = vals[order]
-        if f_target is not None and vals[0] <= f_target:
-            converged = True
-            break
-        if diameter() <= diam_tol:
-            converged = True
-            break
-
-        centroid = verts[:-1].mean(axis=0)
-        worst = verts[-1]
-        refl = centroid + (centroid - worst)
-        f_refl = func(refl)
-        evals += 1
-        if f_refl < vals[0]:
-            expd = centroid + 2.0 * (centroid - worst)
-            f_expd = func(expd)
-            evals += 1
-            if f_expd < f_refl:
-                verts[-1], vals[-1] = expd, f_expd
-            else:
-                verts[-1], vals[-1] = refl, f_refl
-        elif f_refl < vals[-2]:
-            verts[-1], vals[-1] = refl, f_refl
-        else:
-            if f_refl < vals[-1]:
-                contr = centroid + 0.5 * (refl - centroid)
-            else:
-                contr = centroid + 0.5 * (worst - centroid)
-            f_contr = func(contr)
-            evals += 1
-            if f_contr < min(f_refl, vals[-1]):
-                verts[-1], vals[-1] = contr, f_contr
-            else:
-                best = verts[0]
-                for i in range(1, n + 1):
-                    verts[i] = best + 0.5 * (verts[i] - best)
-                    vals[i] = func(verts[i])
-                evals += n
-
-    order = np.argsort(vals)
-    verts = verts[order]
-    vals = vals[order]
-    if f_target is not None and vals[0] <= f_target:
-        converged = True
-    elif diameter() <= diam_tol:
-        converged = True
-    return SimplexResult(
-        x=verts[0].copy(),
-        fun=float(vals[0]),
-        iterations=it,
-        evaluations=evals,
-        converged=converged,
-        diameter=diameter(),
-    )
 
 
 def central_difference_jacobian(
@@ -192,6 +72,8 @@ def levenberg_marquardt(
     max_nfev: int = 2000,
 ) -> LMResult:
     """Least-squares fit with LM steps and a central-difference Jacobian."""
+    from scipy.optimize import least_squares
+
     p0 = np.asarray(p0, dtype=float)
     res = least_squares(
         residuals,

@@ -38,6 +38,7 @@ from .design import (
     sspe_analytic,
 )
 from .dynamics import (
+    final_alpha,
     photon_number,
     propagate_closed_form,
     propagate_ode,
@@ -230,7 +231,7 @@ def _fig1_maps(ctx: _Context) -> None:
     # amplitude 0 means the window is pure free decay
     kappa_ang = params.kappa * MHZ_TO_RAD_NS
     n_tau = abs(
-        _closed_form_alpha_tau(params, readout, QubitState.GROUND, ctx.chi_source)
+        final_alpha(params, PulseSchedule(segments=(readout,)), QubitState.GROUND, chi_source=ctx.chi_source)
     ) ** 2
     expected_free = n_tau * math.exp(-kappa_ang * RESET_DURATION)
     measured_free = float(rmap.residual[0, 0])
@@ -251,14 +252,6 @@ def _fig1_maps(ctx: _Context) -> None:
         )
         + "\n"
     )
-
-
-def _closed_form_alpha_tau(
-    params: DeviceParams, readout: DriveSegment, state: QubitState, chi_source: str
-) -> complex:
-    from .dynamics import final_alpha
-
-    return final_alpha(params, PulseSchedule(segments=(readout,)), state, chi_source=chi_source)
 
 
 def _fig2_scaling(ctx: _Context) -> None:
@@ -516,23 +509,6 @@ def _fig4_backaction(ctx: _Context) -> None:
     )
 
 
-def _drive_for_steady_n(
-    params: DeviceParams, state: QubitState, n: float, chi_source: str
-) -> float:
-    """Drive amplitude (rad/ns) whose steady state holds exactly n photons.
-
-    Inverts the steady-state cubic: eps = sqrt(n [4(delta + K_c n)^2 +
-    kappa^2]) / 2, valid on the low branch where the scenarios live.
-    """
-    delta = (
-        params.detuning_r(chi_source) + chi_shift(params, state, chi_source)
-    ) * MHZ_TO_RAD_NS
-    kappa = params.kappa * MHZ_TO_RAD_NS
-    kc = params.kerr_coeff * MHZ_TO_RAD_NS
-    shifted = delta + kc * n
-    return 0.5 * math.sqrt(n * (4.0 * shifted * shifted + kappa * kappa))
-
-
 def _appc_calibration(ctx: _Context) -> None:
     """Kerr steady-state solver vs long-time ODE plus the calibration fit."""
     base = ctx.params
@@ -546,11 +522,9 @@ def _appc_calibration(ctx: _Context) -> None:
     worst = 0.0
     rows = []
     for n_target in ladder:
-        eps = _drive_for_steady_n(kerr_params, j, n_target, ctx.chi_source)
-        n_cubic = kerr_steady_state(kerr_params, j, eps, ctx.chi_source)
-        schedule = PulseSchedule(
-            segments=(DriveSegment(eps, 0.0, 4000.0),), label=SchemeLabel.CUSTOM.value
-        )
+        ring_up = ring_up_segment(kerr_params, j, n_target, 4000.0, chi_source=ctx.chi_source)
+        n_cubic = kerr_steady_state(kerr_params, j, ring_up.amplitude, ctx.chi_source)
+        schedule = PulseSchedule(segments=(ring_up,), label=SchemeLabel.CUSTOM.value)
         traj = propagate_ode(kerr_params, schedule, j, dt=0.05, chi_source=ctx.chi_source)
         n_ode = float(traj.photon[-1])
         rel = abs(n_cubic - n_ode) / n_ode
@@ -575,7 +549,7 @@ def _appc_calibration(ctx: _Context) -> None:
     def synth_points(device: DeviceParams) -> list[tuple[float, float]]:
         pts = []
         for n_target in cal_targets:
-            eps = _drive_for_steady_n(device, j, n_target, ctx.chi_source)
+            eps = ring_up_segment(device, j, n_target, 4000.0, chi_source=ctx.chi_source).amplitude
             volts = eps / volt_to_eps_true
             pts.append((volts * volts, kerr_steady_state(device, j, eps, ctx.chi_source)))
         return pts

@@ -146,6 +146,14 @@ class TestDeviceParams:
         with pytest.raises(ConfigError):
             device.with_(t1=0.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("kappa", math.nan), ("qubit_freq", math.inf), ("kerr_coeff", -math.inf), ("drive_freq", math.nan)],
+    )
+    def test_non_finite_rejected(self, device, field, value):
+        with pytest.raises(ConfigError, match=field):
+            device.with_(**{field: value})
+
     def test_positive_anharmonicity_rejected(self, device):
         with pytest.raises(ConfigError):
             device.with_(anharmonicity=10.0)

@@ -15,8 +15,10 @@ from cavreset import (
     OutOfRange,
     PulseSchedule,
     StepTooLarge,
+    Trajectory,
     complex_rate,
     final_alpha,
+    kerr_steady_state,
     photon_number,
     propagate,
     propagate_closed_form,
@@ -56,6 +58,12 @@ class TestSteadyState:
         seg = ring_up_segment(device, 0, 5.0, 900.0)
         ss = steady_state_alpha(complex_rate(device, 0).c, seg.complex_amplitude)
         assert abs(ss) ** 2 == pytest.approx(5.0, rel=1e-12)
+
+    @pytest.mark.parametrize("kerr", [-0.5, -0.011, 0.5])
+    def test_ring_up_segment_honors_kerr(self, device, kerr):
+        kerr_dev = device.with_(kerr_coeff=kerr)
+        seg = ring_up_segment(kerr_dev, 0, 20.0, 4000.0)
+        assert kerr_steady_state(kerr_dev, 0, seg.amplitude) == pytest.approx(20.0, rel=1e-9)
 
 
 class TestClosedForm:
@@ -217,6 +225,14 @@ class TestDispatchAndTrajectory:
         back = read_trajectory_csv(path)
         assert back.times == pytest.approx(traj.times)
         assert back.alpha == pytest.approx(traj.alpha)
+
+    def test_csv_one_row(self, tmp_path):
+        path = tmp_path / "one.csv"
+        Trajectory(times=[2.5], alpha=[0.1 - 0.2j], qubit_state=0).write_csv(path)
+        back = read_trajectory_csv(path)
+        assert back.times.shape == (1,)
+        assert back.alpha.shape == (1,)
+        assert back.final_alpha == pytest.approx(0.1 - 0.2j)
 
     def test_qubit_state_recorded(self, device):
         traj = propagate_closed_form(device, two_segment_schedule(), 1)

@@ -1,58 +1,9 @@
-"""Simplex and least-squares machinery."""
+"""Least-squares machinery."""
 
 import numpy as np
 import pytest
 
-from cavreset.optimize import (
-    central_difference_jacobian,
-    levenberg_marquardt,
-    nelder_mead,
-)
-
-
-class TestNelderMead:
-    def test_quadratic_bowl(self):
-        result = nelder_mead(lambda x: (x[0] - 2.0) ** 2 + 3.0 * (x[1] + 1.0) ** 2, [0.0, 0.0])
-        assert result.converged
-        assert result.x == pytest.approx([2.0, -1.0], abs=1e-7)
-        assert result.diameter <= 1e-10
-
-    def test_f_target_stops_early(self):
-        calls = []
-
-        def fn(x):
-            calls.append(1)
-            return float(np.sum(np.square(x)))
-
-        loose = nelder_mead(fn, [1.0, 1.0], f_target=1e-2)
-        n_loose = len(calls)
-        assert loose.converged
-        assert loose.fun <= 1e-2
-        calls.clear()
-        tight = nelder_mead(fn, [1.0, 1.0], f_target=None)
-        assert len(calls) > n_loose  # without the target it keeps polishing
-
-    def test_rosenbrock_valley(self):
-        def rosen(x):
-            return (1.0 - x[0]) ** 2 + 100.0 * (x[1] - x[0] ** 2) ** 2
-
-        result = nelder_mead(rosen, [-1.2, 1.0], max_iter=20000)
-        assert result.converged
-        assert result.x == pytest.approx([1.0, 1.0], abs=1e-5)
-
-    def test_iteration_cap_reports_not_converged(self):
-        result = nelder_mead(lambda x: float(np.sum(np.square(x))), [5.0, 5.0], max_iter=3)
-        assert not result.converged
-
-    def test_scalar_scale(self):
-        result = nelder_mead(
-            lambda x: (x[0] - 4.0) ** 2, [0.0], scale=0.5, f_target=1e-16
-        )
-        assert result.x[0] == pytest.approx(4.0, abs=1e-6)
-
-    def test_evaluation_count_tracked(self):
-        result = nelder_mead(lambda x: float(x[0] ** 2), [3.0])
-        assert result.evaluations >= result.iterations
+from cavreset.optimize import central_difference_jacobian, levenberg_marquardt
 
 
 class TestJacobian:
