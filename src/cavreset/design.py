@@ -32,6 +32,8 @@ import numpy as np
 from .core import MHZ_TO_RAD_NS, DeviceParams, QubitState, complex_rate
 from .dynamics import (
     Trajectory,
+    _rk4,
+    _segment_end_alpha,
     final_alpha,
     ode_final_alpha,
     propagate,
@@ -412,60 +414,44 @@ def residual_map(
     amp_grid: Sequence[float],
     phase_grid: Sequence[float],
     chi_source: str = "formula",
-    dt: float = DESIGN_DT,
 ) -> ResidualMap:
     """|alpha_j(dtau)|^2 over the Cartesian (amplitude, phase) grid.
 
-    Linear model evaluates the closed form vectorized over the grid; with a
-    Kerr term the reset segment is RK4-integrated for all grid points at
-    once (the readout endpoint is shared, so only the window varies).
-    Cells at or below the 0.1-photon level are listed as the contour set.
+    Each cell is the end field of the (readout, reset) schedule, computed
+    by the same code as the single-schedule paths: the linear model applies
+    the closed-form segment map of `final_alpha` to the whole drive grid at
+    once, and with a Kerr term the RK4 stepper of `ode_final_alpha` runs at
+    DESIGN_DT on the grid (the readout endpoint is shared, so only the
+    window varies).  Cells at or below the 0.1-photon level are listed as
+    the contour set.
     """
     j = QubitState(state)
     amps = np.asarray(amp_grid, dtype=float)
     phases = np.asarray(phase_grid, dtype=float)
     if amps.size == 0 or phases.size == 0:
         raise ConfigError("amplitude and phase grids must be non-empty")
+    if not (np.isfinite(amps).all() and np.isfinite(phases).all()):
+        raise ConfigError("amplitude and phase grids must be finite")
     if np.any(amps < 0.0):
         raise ConfigError("amplitude grid must be >= 0")
-    if reset_duration <= 0.0:
-        raise ConfigError(f"reset_duration must be > 0, got {reset_duration}")
+    if not (math.isfinite(reset_duration) and reset_duration > 0.0):
+        raise ConfigError(f"reset_duration must be finite and > 0, got {reset_duration}")
 
     drive_grid = amps[:, None] * np.exp(1j * phases[None, :])
-
+    readout_sched = PulseSchedule(segments=(readout,))
+    c = complex_rate(params, j, chi_source).c
     if params.kerr_coeff == 0.0:
-        c = complex_rate(params, j, chi_source).c
-        alpha_tau = final_alpha(
-            params, PulseSchedule(segments=(readout,)), j, chi_source=chi_source
-        )
-        decay = np.exp(-0.5 * c * reset_duration)
-        ss = -2j * drive_grid / c
-        alpha_end = ss + (alpha_tau - ss) * decay
+        alpha_tau = final_alpha(params, readout_sched, j, chi_source=chi_source)
+        alpha_end = _segment_end_alpha(alpha_tau, c, drive_grid, reset_duration)
     else:
-        alpha_tau = ode_final_alpha(
-            params,
-            PulseSchedule(segments=(readout,)),
-            j,
-            dt=dt,
-            chi_source=chi_source,
+        alpha_tau = ode_final_alpha(params, readout_sched, j, dt=DESIGN_DT, chi_source=chi_source)
+        alpha_end = _rk4(
+            alpha_tau,
+            [(drive_grid, reset_duration)],
+            0.5 * c,
+            params.kerr_coeff * MHZ_TO_RAD_NS,
+            DESIGN_DT,
         )
-        half_c = 0.5 * complex_rate(params, j, chi_source).c
-        kc = params.kerr_coeff * MHZ_TO_RAD_NS
-        n_steps = max(1, int(math.ceil(reset_duration / dt - 1e-12)))
-        h = reset_duration / n_steps
-        drive_term = -1j * drive_grid
-
-        def rhs(x: np.ndarray) -> np.ndarray:
-            return drive_term - half_c * x - 1j * kc * (x.real**2 + x.imag**2) * x
-
-        a = np.full_like(drive_grid, alpha_tau)
-        for _ in range(n_steps):
-            k1 = rhs(a)
-            k2 = rhs(a + 0.5 * h * k1)
-            k3 = rhs(a + 0.5 * h * k2)
-            k4 = rhs(a + h * k3)
-            a = a + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        alpha_end = a
 
     residual = np.abs(alpha_end) ** 2
     cells = [(int(i), int(k)) for i, k in zip(*np.nonzero(residual <= CONTOUR_LEVEL))]

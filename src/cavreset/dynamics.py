@@ -13,13 +13,17 @@ exact solution
     alpha(t) = alpha_ss + (alpha(t0) - alpha_ss) * exp(-C_j (t - t0) / 2),
     alpha_ss = -2i eps~ / C_j,
 
-which is what `propagate_closed_form` chains across segments.  With a Kerr
-term the equation is nonlinear and `propagate_ode` integrates it with a
-fixed-step RK4.
+evaluated in one place, `_segment_end_alpha`, which `final_alpha`,
+`propagate_closed_form` and the linear residual maps of `design` share.
+With a Kerr term the equation is nonlinear and one fixed-step RK4 stepper,
+`_rk4`, integrates it: on a Python complex for single trajectories
+(`propagate_ode`, `ode_final_alpha`) and on a numpy grid for the Kerr
+residual maps, all with the same step rule.
 """
 
 from __future__ import annotations
 
+import cmath
 import csv
 import math
 from dataclasses import dataclass
@@ -34,7 +38,7 @@ from .pulses import DriveSegment, PulseSchedule
 #: |C_j| below this (rad/ns) is treated as drift-free lossless evolution.
 _C_TINY = 1e-15
 
-#: ODE steps must resolve every segment with at least this many sub-steps.
+#: RK4 resolves every segment with at least this many sub-steps.
 _MIN_STEPS_PER_SEGMENT = 10
 
 
@@ -106,11 +110,59 @@ def steady_state_alpha(c: complex, drive: complex) -> complex:
     return -2j * drive / c
 
 
-def _segment_end_alpha(alpha0: complex, c: complex, drive: complex, duration: float) -> complex:
+def _segment_end_alpha(alpha0, c: complex, drive, duration):
+    """Exact linear-model field after `duration` ns of constant `drive` from alpha0.
+
+    Broadcasts over an array of drives or an array of local times.
+    """
     if abs(c) < _C_TINY:
         return alpha0 - 1j * drive * duration
     ss = -2j * drive / c
     return ss + (alpha0 - ss) * np.exp(-0.5 * c * duration)
+
+
+def _rk4_steps(duration: float, dt: float) -> tuple[int, float]:
+    """(n, h): n equal RK4 steps of h ns over one segment, n >= 10 and h <= dt."""
+    n = max(_MIN_STEPS_PER_SEGMENT, int(math.ceil(duration / dt - 1e-12)))
+    return n, duration / n
+
+
+def _rk4(alpha0, segments, half_c: complex, kc: float, dt: float, samples: list | None = None):
+    """Fixed-step RK4 through (drive, duration) segments; returns the endpoint.
+
+    The arithmetic is duck-typed: alpha0 and the drives are Python complex
+    numbers for one trajectory (numpy scalar overhead is ~20x worse for this
+    scalar recurrence), or the drives are a numpy array for one trajectory
+    per grid cell, with alpha0 broadcast.
+    Each segment takes `_rk4_steps(duration, dt)`, so drive switches land on
+    step boundaries.  If `samples` is a list, the field after every step is
+    appended to it.
+    """
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ConfigError(f"dt must be finite and > 0, got {dt}")
+    a = alpha0
+    for drive, duration in segments:
+        n, h = _rk4_steps(duration, dt)
+        drive_term = -1j * drive
+        if kc == 0.0:
+
+            def rhs(x):
+                return drive_term - half_c * x
+
+        else:
+
+            def rhs(x):
+                return drive_term - half_c * x - 1j * kc * (x.real * x.real + x.imag * x.imag) * x
+
+        for _ in range(n):
+            k1 = rhs(a)
+            k2 = rhs(a + 0.5 * h * k1)
+            k3 = rhs(a + 0.5 * h * k2)
+            k4 = rhs(a + h * k3)
+            a = a + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if samples is not None:
+                samples.append(a)
+    return a
 
 
 def final_alpha(
@@ -146,7 +198,7 @@ def propagate_closed_form(
     """
     if params.kerr_coeff != 0.0:
         raise KerrNotSupported("closed form only covers the linear model; use propagate_ode")
-    if sample_dt <= 0.0:
+    if not sample_dt > 0.0:
         raise ConfigError(f"sample_dt must be > 0, got {sample_dt}")
     c = complex_rate(params, state, chi_source).c
 
@@ -157,12 +209,7 @@ def propagate_closed_form(
     for seg in schedule:
         n = max(1, int(math.ceil(seg.duration / sample_dt - 1e-12)))
         local = np.linspace(0.0, seg.duration, n + 1)[1:]
-        drive = seg.complex_amplitude
-        if abs(c) < _C_TINY:
-            vals = a - 1j * drive * local
-        else:
-            ss = -2j * drive / c
-            vals = ss + (a - ss) * np.exp(-0.5 * c * local)
+        vals = _segment_end_alpha(a, c, seg.complex_amplitude, local)
         times.append(t0 + local)
         alphas.append(vals)
         t0 += seg.duration
@@ -190,11 +237,10 @@ def propagate_ode(
     never exceeds dt.  Samples are recorded at every step.
 
     Raises:
+        ConfigError: dt is not finite and > 0.
         StepTooLarge: dt does not give at least 10 steps in every segment.
         NonFinite: the integration blew up (diverging Kerr trajectory).
     """
-    if dt <= 0.0:
-        raise ConfigError(f"dt must be > 0, got {dt}")
     shortest = schedule.min_segment_duration
     if dt > shortest / _MIN_STEPS_PER_SEGMENT:
         raise StepTooLarge(
@@ -202,47 +248,23 @@ def propagate_ode(
             f"need dt <= {shortest / _MIN_STEPS_PER_SEGMENT}"
         )
     c = complex_rate(params, state, chi_source).c
-    half_c = 0.5 * c
     kc = params.kerr_coeff * MHZ_TO_RAD_NS
+    values = [complex(alpha0)]
+    segments = [(seg.complex_amplitude, seg.duration) for seg in schedule]
+    _rk4(values[0], segments, 0.5 * c, kc, dt, values)
 
-    # Plain Python complex arithmetic in the inner loop: numpy scalar
-    # overhead is ~20x worse for this scalar recurrence.
-    a = complex(alpha0)
+    times = [np.zeros(1)]
     t = 0.0
-    times = [0.0]
-    values = [a]
-    for seg in schedule:
-        n = max(_MIN_STEPS_PER_SEGMENT, int(math.ceil(seg.duration / dt - 1e-12)))
-        h = seg.duration / n
-        drive_term = -1j * seg.complex_amplitude
-        if kc == 0.0:
-
-            def rhs(x: complex) -> complex:
-                return drive_term - half_c * x
-
-        else:
-
-            def rhs(x: complex) -> complex:
-                return drive_term - half_c * x - 1j * kc * (x.real * x.real + x.imag * x.imag) * x
-
-        for k in range(n):
-            k1 = rhs(a)
-            k2 = rhs(a + 0.5 * h * k1)
-            k3 = rhs(a + 0.5 * h * k2)
-            k4 = rhs(a + h * k3)
-            a = a + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            times.append(t + (k + 1) * h)
-            values.append(a)
-        if not (math.isfinite(a.real) and math.isfinite(a.imag)):
-            raise NonFinite(f"cavity amplitude diverged during segment ending at t = {t + seg.duration} ns")
-        t += seg.duration
-
-    return Trajectory(
-        times=np.array(times),
-        alpha=np.array(values, dtype=complex),
-        qubit_state=QubitState(state),
-        label=schedule.label,
-    )
+    for _, duration in segments:
+        n, h = _rk4_steps(duration, dt)
+        times.append(t + np.arange(1, n + 1) * h)
+        t += duration
+    times = np.concatenate(times)
+    alpha = np.array(values, dtype=complex)
+    diverged = ~np.isfinite(alpha)
+    if diverged.any():
+        raise NonFinite(f"cavity amplitude diverged at t = {times[diverged.argmax()]} ns")
+    return Trajectory(times=times, alpha=alpha, qubit_state=QubitState(state), label=schedule.label)
 
 
 def ode_final_alpha(
@@ -255,43 +277,20 @@ def ode_final_alpha(
 ) -> complex:
     """Endpoint of the RK4 integration without recording samples.
 
-    Same stepping rules as `propagate_ode`; meant for optimizer inner loops
-    where only |alpha(end)|^2 matters and the sample arrays would dominate
-    the cost.
+    Same stepper and step rule as `propagate_ode`, for optimizer inner loops
+    where only alpha(end) matters.  Unlike `propagate_ode` it accepts any
+    finite dt > 0: a segment shorter than 10 dt still gets 10 steps.
+
+    Raises:
+        ConfigError: dt is not finite and > 0.
+        NonFinite: the integration blew up (diverging Kerr trajectory).
     """
-    if dt <= 0.0:
-        raise ConfigError(f"dt must be > 0, got {dt}")
-    shortest = schedule.min_segment_duration
-    if dt > shortest / _MIN_STEPS_PER_SEGMENT:
-        raise StepTooLarge(
-            f"dt = {dt} ns too coarse for a {shortest} ns segment; "
-            f"need dt <= {shortest / _MIN_STEPS_PER_SEGMENT}"
-        )
     half_c = 0.5 * complex_rate(params, state, chi_source).c
     kc = params.kerr_coeff * MHZ_TO_RAD_NS
-    a = complex(alpha0)
-    for seg in schedule:
-        n = int(math.ceil(seg.duration / dt - 1e-12))
-        h = seg.duration / n
-        drive_term = -1j * seg.complex_amplitude
-        if kc == 0.0:
-
-            def rhs(x: complex) -> complex:
-                return drive_term - half_c * x
-
-        else:
-
-            def rhs(x: complex) -> complex:
-                return drive_term - half_c * x - 1j * kc * (x.real * x.real + x.imag * x.imag) * x
-
-        for _ in range(n):
-            k1 = rhs(a)
-            k2 = rhs(a + 0.5 * h * k1)
-            k3 = rhs(a + 0.5 * h * k2)
-            k4 = rhs(a + h * k3)
-            a = a + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not (math.isfinite(a.real) and math.isfinite(a.imag)):
-            raise NonFinite("cavity amplitude diverged during endpoint integration")
+    segments = [(seg.complex_amplitude, seg.duration) for seg in schedule]
+    a = _rk4(complex(alpha0), segments, half_c, kc, dt)
+    if not cmath.isfinite(a):
+        raise NonFinite("cavity amplitude diverged during endpoint integration")
     return a
 
 

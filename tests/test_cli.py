@@ -88,6 +88,20 @@ class TestSimulate:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("extra", [(), ("--force-ode",)])
+    def test_nan_dt_is_config_error(self, tmp_path, extra):
+        code = run(
+            "simulate",
+            "--schedule",
+            '[{"amp": 0.01, "phase": 0, "duration": 50}]',
+            "--dt",
+            "nan",
+            *extra,
+            "--out",
+            str(tmp_path),
+        )
+        assert code == 2
+
 
 class TestDesign:
     def test_sspe_reports_both_methods(self, tmp_path):
@@ -140,6 +154,13 @@ class TestMapCompare:
         side = json.loads((tmp_path / "residual_map.json").read_text())
         assert side["shape"] == [7, 6]
         assert "provenance" in side
+
+    def test_map_nan_window_is_config_error(self, tmp_path):
+        code = run(
+            "map", "--readout", READOUT, "--reset-duration", "nan",
+            "--amp-max", "0.06", "--out", str(tmp_path),
+        )
+        assert code == 2
 
     def test_compare_outputs(self, tmp_path):
         code = run(

@@ -25,6 +25,8 @@ from cavreset import (
     sspe_analytic,
     sspe_optimize,
 )
+from cavreset.design import DESIGN_DT
+from cavreset.dynamics import ode_final_alpha
 
 MHZ_TO_RAD_NS = 2.0 * math.pi * 1e-3
 RESET = 50.0
@@ -150,6 +152,12 @@ class TestOptimizer:
         assert sol.converged
         assert sol.residual_photons[0] < 1e-6
 
+    def test_kerr_window_shorter_than_ten_design_steps(self, device, readout):
+        # 0.3 ns < 10 * DESIGN_DT: the window still gets the 10-step floor
+        sol = sspe_optimize(device.with_(kerr_coeff=-0.011), 0, readout, 0.3)
+        assert sol.converged
+        assert sol.residual_photons[0] < 1e-6
+
     def test_result_serializes(self, device, readout):
         import json
 
@@ -200,6 +208,12 @@ class TestClear:
     def test_excited_state_target(self, device, readout):
         sched = clear_optimize(device, 1, readout, RESET)
         assert abs(final_alpha(device, sched, 1)) ** 2 < 1e-4
+
+    def test_kerr_window_shorter_than_ten_design_steps(self, device, readout):
+        # two 0.4 ns halves, each shorter than 10 * DESIGN_DT
+        kerr_dev = device.with_(kerr_coeff=-0.011)
+        sched = clear_optimize(kerr_dev, 0, readout, 0.8)
+        assert abs(ode_final_alpha(kerr_dev, sched, 0, dt=DESIGN_DT)) ** 2 < 1e-6
 
 
 class TestResidualMap:
@@ -266,6 +280,32 @@ class TestResidualMap:
         )
         assert np.max(np.abs(lin.residual - kerr.residual)) > 1e-3
 
+    @pytest.mark.parametrize("state", [0, 1])
+    def test_kerr_cells_match_scalar_rk4(self, device, readout, state):
+        kerr_dev = device.with_(kerr_coeff=-0.011)
+        amp_axis = np.linspace(0.0, 0.06, 3)
+        phase_axis = np.linspace(0.0, 2.0 * math.pi, 2, endpoint=False)
+        rmap = residual_map(kerr_dev, state, readout, RESET, amp_axis, phase_axis)
+        for i, eps in enumerate(amp_axis):
+            for j, phi in enumerate(phase_axis):
+                sched = PulseSchedule((readout, DriveSegment(eps, phi, RESET)))
+                direct = abs(ode_final_alpha(kerr_dev, sched, state, dt=DESIGN_DT)) ** 2
+                assert rmap.residual[i, j] == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_rate_cells_match_final_alpha(self, device):
+        # kappa = 0, g = 0 and a resonant drive give C_j = 0: lossless drift
+        lossless = device.with_(kappa=0.0, coupling=0.0, drive_freq=device.bare_cavity_freq)
+        readout = DriveSegment(0.02, 0.3, 100.0)
+        amp_axis = np.linspace(0.0, 0.06, 4)
+        phase_axis = np.linspace(0.0, 2.0 * math.pi, 3, endpoint=False)
+        rmap = residual_map(lossless, 0, readout, RESET, amp_axis, phase_axis)
+        for i, eps in enumerate(amp_axis):
+            for j, phi in enumerate(phase_axis):
+                sched = PulseSchedule((readout, DriveSegment(eps, phi, RESET)))
+                direct = abs(final_alpha(lossless, sched, 0)) ** 2
+                assert rmap.residual[i, j] == pytest.approx(direct, rel=1e-12, abs=1e-18)
+
     def test_empty_grid_rejected(self, device, readout):
         with pytest.raises(ConfigError):
             residual_map(device, 0, readout, RESET, [], [0.0])
@@ -273,6 +313,21 @@ class TestResidualMap:
     def test_negative_amplitude_rejected(self, device, readout):
         with pytest.raises(ConfigError):
             residual_map(device, 0, readout, RESET, [-0.1, 0.0], [0.0])
+
+    @pytest.mark.parametrize(
+        "amps, phases, window",
+        [
+            ([math.nan, 0.01], [0.0], RESET),
+            ([math.inf], [0.0], RESET),
+            ([0.01], [0.0, math.nan], RESET),
+            ([0.01], [-math.inf], RESET),
+            ([0.01], [0.0], math.nan),
+            ([0.01], [0.0], math.inf),
+        ],
+    )
+    def test_non_finite_input_rejected(self, device, readout, amps, phases, window):
+        with pytest.raises(ConfigError):
+            residual_map(device, 0, readout, window, amps, phases)
 
 
 class TestScaling:

@@ -27,6 +27,7 @@ from cavreset import (
     ring_up_segment,
     steady_state_alpha,
 )
+from cavreset.dynamics import ode_final_alpha
 
 MHZ_TO_RAD_NS = 2.0 * math.pi * 1e-3
 
@@ -107,6 +108,10 @@ class TestClosedForm:
         with pytest.raises(KerrNotSupported):
             propagate_closed_form(kerr_dev, two_segment_schedule(), 0)
 
+    def test_nan_sample_dt_is_config_error(self, device):
+        with pytest.raises(ConfigError):
+            propagate_closed_form(device, two_segment_schedule(), 0, sample_dt=math.nan)
+
     def test_final_alpha_matches_sampled_path(self, device):
         sched = two_segment_schedule()
         traj = propagate_closed_form(device, sched, 0, sample_dt=0.25)
@@ -170,6 +175,26 @@ class TestOde:
         sched = PulseSchedule((DriveSegment(0.01, 0.0, 50.0),))
         with pytest.raises(StepTooLarge):
             propagate_ode(device, sched, 0, dt=6.0)
+
+    @pytest.mark.parametrize("dt", [math.nan, 0.0, -0.1])
+    def test_invalid_dt_is_config_error(self, device, dt):
+        sched = PulseSchedule((DriveSegment(0.01, 0.0, 50.0),))
+        with pytest.raises(ConfigError):
+            propagate_ode(device, sched, 0, dt=dt)
+        with pytest.raises(ConfigError):
+            ode_final_alpha(device, sched, 0, dt=dt)
+
+    def test_endpoint_with_infinite_dt_is_config_error(self, device):
+        sched = PulseSchedule((DriveSegment(0.01, 0.0, 50.0),))
+        with pytest.raises(ConfigError):
+            ode_final_alpha(device, sched, 0, dt=math.inf)
+
+    def test_endpoint_takes_ten_steps_on_short_segments(self, device):
+        # 0.3 ns at dt 0.05 gets the 10-step floor: the path at dt 0.03
+        kerr_dev = device.with_(kerr_coeff=-0.011)
+        sched = PulseSchedule((DriveSegment(0.5, 1.0, 0.3),))
+        end = ode_final_alpha(kerr_dev, sched, 0, dt=0.05, alpha0=2.0 - 1.0j)
+        assert end == propagate_ode(kerr_dev, sched, 0, dt=0.03, alpha0=2.0 - 1.0j).final_alpha
 
     def test_kerr_shifts_the_field(self, device):
         sched = PulseSchedule((DriveSegment(0.05, 0.0, 300.0),))
