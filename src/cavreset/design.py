@@ -11,7 +11,10 @@ field of the linear model is affine in the reset drive, the joint design
 for both qubit states and the two-segment baseline are weighted linear
 least-squares problems with exact solutions too.  With a Kerr term no
 closed form exists: Levenberg-Marquardt polishes the same residual vector
-on RK4 endpoints, starting from the linear optimum.  This module provides
+on RK4 endpoints, starting from the linear optimum, with the exact
+Jacobian of the RK4 map from the sensitivity pass of `dynamics`.  Every
+design integrates the readout once per qubit state and continues each
+reset window from that end field.  This module provides
 both routes, plus residual-landscape maps, an amplitude-scaling check, and
 a three-way comparison against square-pulse free decay and a two-segment
 active baseline.
@@ -32,7 +35,9 @@ import numpy as np
 from .core import MHZ_TO_RAD_NS, DeviceParams, QubitState, complex_rate
 from .dynamics import (
     Trajectory,
+    _closed_form_end,
     _rk4,
+    _rk4_tangent,
     _segment_end_alpha,
     final_alpha,
     ode_final_alpha,
@@ -54,6 +59,10 @@ CONTOUR_LEVEL = 0.1
 
 #: RK4 step for Kerr-model endpoints, ns.
 DESIGN_DT = 0.05
+
+#: Photons at or below which a one-state Kerr design has found its zero;
+#: found zeros sit at <= 1e-26 photons, stalled ones at >= 0.01.
+_REACHED_ZERO = 1e-12
 
 
 class SolutionMode(str, Enum):
@@ -138,23 +147,38 @@ class ResetSolution:
         }
 
 
-def _end_photons(
+def _end_fields(
     params: DeviceParams,
     schedule: PulseSchedule,
+    starts: Mapping[QubitState, complex],
     chi_source: str,
-) -> dict[QubitState, float]:
-    """|alpha_j|^2 after the whole schedule for both qubit states.
+) -> dict[QubitState, complex]:
+    """Field after `schedule` for each state in `starts`, from its start field.
 
-    Exact in the linear model; RK4 at DESIGN_DT with a Kerr term.
+    Exact in the linear model; RK4 at DESIGN_DT with a Kerr term.  Both
+    routes go segment by segment, so continuing from a readout end gives
+    the same bits as one call over readout and reset window together.
     """
     if params.kerr_coeff == 0.0:
-        ends = {j: final_alpha(params, schedule, j, chi_source=chi_source) for j in QubitState}
-    else:
-        ends = {
-            j: ode_final_alpha(params, schedule, j, dt=DESIGN_DT, chi_source=chi_source)
-            for j in QubitState
+        return {
+            j: final_alpha(params, schedule, j, alpha0=a, chi_source=chi_source)
+            for j, a in starts.items()
         }
-    return {j: abs(a) ** 2 for j, a in ends.items()}
+    return {
+        j: ode_final_alpha(params, schedule, j, dt=DESIGN_DT, alpha0=a, chi_source=chi_source)
+        for j, a in starts.items()
+    }
+
+
+def _readout_ends(
+    params: DeviceParams,
+    readout: DriveSegment,
+    states: Iterable[QubitState],
+    chi_source: str,
+) -> dict[QubitState, complex]:
+    """Fields of `states` at the end of the readout, from vacuum."""
+    vacuum = dict.fromkeys(states, 0j)
+    return _end_fields(params, PulseSchedule(segments=(readout,)), vacuum, chi_source)
 
 
 def _least_squares_drive(
@@ -163,53 +187,68 @@ def _least_squares_drive(
     weights: Mapping[QubitState, float],
     readout: DriveSegment,
     reset: Callable[[np.ndarray], PulseSchedule],
+    ends: Mapping[QubitState, complex],
     chi_source: str,
     start: Sequence[float] | None = None,
 ) -> tuple[np.ndarray, bool, int]:
     """Two real unknowns x minimizing sum_j w_j |alpha_j(end)|^2.
 
-    `reset(x)` builds the reset segments and must be linear in x.  In the
+    `reset(x)` builds the reset segments and must be linear in x; `ends`
+    holds each state's field at the start of the reset window.  In the
     linear model each end field is affine in x, alpha_j = f_j + B_j x, so
     the minimum is one least-squares solve over the rows sqrt(w_j) [Re, Im]
-    stacked across the target states.  With a Kerr term Levenberg-Marquardt
-    minimizes the same residual vector over RK4 endpoints, started from
-    `start` or else from the linear optimum.
+    stacked across the target states.  With a Kerr term
+    Levenberg-Marquardt minimizes the same residual vector over RK4
+    endpoints, started from `start` or else from the linear optimum for
+    the linear readout.  One `_rk4_tangent` pass per state gives both the
+    residuals and their exact Jacobian.
 
     Returns (x, converged, objective evaluations).
     """
-    readout_sched = PulseSchedule(segments=(readout,))
     scale = {j: math.sqrt(weights[j]) for j in targets}
     if params.kerr_coeff == 0.0:
         rows, rhs = [], []
         for j in targets:
-            alpha_tau = final_alpha(params, readout_sched, j, chi_source=chi_source)
-            free = final_alpha(params, reset(np.zeros(2)), j, alpha0=alpha_tau, chi_source=chi_source)
-            cols = [final_alpha(params, reset(e), j, chi_source=chi_source) for e in np.eye(2)]
+            c = complex_rate(params, j, chi_source).c
+            free = _closed_form_end(ends[j], c, reset(np.zeros(2)))
+            cols = [_closed_form_end(0j, c, reset(e)) for e in np.eye(2)]
             rows += [[scale[j] * b.real for b in cols], [scale[j] * b.imag for b in cols]]
             rhs += [-scale[j] * free.real, -scale[j] * free.imag]
         x, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
         return x, True, 0
 
     if start is None:
+        linear = params.with_(kerr_coeff=0.0)
+        linear_ends = _readout_ends(linear, readout, targets, chi_source)
         start, _, _ = _least_squares_drive(
-            params.with_(kerr_coeff=0.0), targets, weights, readout, reset, chi_source
+            linear, targets, weights, readout, reset, linear_ends, chi_source
         )
-    alpha_tau = {
-        j: ode_final_alpha(params, readout_sched, j, dt=DESIGN_DT, chi_source=chi_source)
-        for j in targets
-    }
+    half_c = {j: 0.5 * complex_rate(params, j, chi_source).c for j in targets}
+    kc = params.kerr_coeff * MHZ_TO_RAD_NS
+    # reset is linear in x, so reset(e_k) holds d drive / d x_k per segment
+    units = [reset(e).segments for e in np.eye(2)]
+    last: dict = {}
 
     def residuals(x: np.ndarray) -> np.ndarray:
-        sched = reset(x)
-        out = []
+        segments = [
+            (seg.complex_amplitude, seg.duration, u0.complex_amplitude, u1.complex_amplitude)
+            for seg, u0, u1 in zip(reset(x), *units)
+        ]
+        out, jac = [], []
         for j in targets:
-            a = ode_final_alpha(
-                params, sched, j, dt=DESIGN_DT, alpha0=alpha_tau[j], chi_source=chi_source
-            )
-            out += [scale[j] * a.real, scale[j] * a.imag]
+            a, d0, d1 = _rk4_tangent(ends[j], segments, half_c[j], kc, DESIGN_DT)
+            s = scale[j]
+            out += [s * a.real, s * a.imag]
+            jac += [[s * d0.real, s * d1.real], [s * d0.imag, s * d1.imag]]
+        last["x"], last["jac"] = x.tobytes(), np.array(jac)
         return np.array(out)
 
-    lm = levenberg_marquardt(residuals, start)
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        if last.get("x") != x.tobytes():
+            residuals(x)
+        return last["jac"]
+
+    lm = levenberg_marquardt(residuals, start, jac=jacobian)
     return lm.params, lm.success, lm.nfev
 
 
@@ -221,31 +260,71 @@ def _sspe_solution(
     reset_duration: float,
     chi_source: str,
     method: str,
+    ends: Mapping[QubitState, complex],
     start: Sequence[float] | None = None,
 ) -> ResetSolution:
-    """Best single reset segment for the weighted targets; x = (Re, Im) of the drive."""
+    """Best single reset segment for the weighted targets; x = (Re, Im) of the drive.
+
+    `ends` holds the readout end fields of the target states and of any
+    other state whose residual photons are wanted; the residuals continue
+    from them.  A one-state Kerr design can stall in a local minimum: if
+    it ends above _REACHED_ZERO photons, LM restarts once from the
+    linear-model drive for the Kerr readout end, the lower result is kept,
+    and it counts as converged only at or below _REACHED_ZERO photons.
+    """
 
     def reset(x: np.ndarray) -> PulseSchedule:
         drive = complex(float(x[0]), float(x[1]))
         return PulseSchedule(segments=(DriveSegment.from_complex(drive, reset_duration),))
 
-    x, converged, evaluations = _least_squares_drive(
-        params, targets, weights, readout, reset, chi_source, start
-    )
-    segment = reset(x).segments[0]
-    schedule = PulseSchedule(segments=(readout, segment))
+    def solve(start: Sequence[float] | None) -> tuple[PulseSchedule, bool, int, dict[QubitState, float]]:
+        x, converged, evaluations = _least_squares_drive(
+            params, targets, weights, readout, reset, ends, chi_source, start
+        )
+        window = reset(x)
+        fields = _end_fields(params, window, ends, chi_source)
+        return window, converged, evaluations, {j: abs(a) ** 2 for j, a in fields.items()}
+
+    window, converged, evaluations, residual = solve(start)
+    if params.kerr_coeff != 0.0 and len(targets) == 1:
+        (j,) = targets
+        if residual[j] > _REACHED_ZERO:
+            restart, _, _ = _least_squares_drive(
+                params.with_(kerr_coeff=0.0), targets, weights, readout, reset, ends, chi_source
+            )
+            window2, converged2, more, residual2 = solve(restart)
+            evaluations += more
+            if residual2[j] < residual[j]:
+                window, converged, residual = window2, converged2, residual2
+        converged = converged and residual[j] <= _REACHED_ZERO
+    segment = window.segments[0]
     return ResetSolution(
         reset_amplitude=segment.amplitude,
         reset_phase=segment.phase,
         reset_duration=reset_duration,
         readout=readout,
-        residual_photons=_end_photons(params, schedule, chi_source),
+        residual_photons=residual,
         target_states=targets,
         mode=SolutionMode.PER_STATE if len(targets) == 1 else SolutionMode.JOINT,
         method=method,
         converged=converged,
         iterations=evaluations,
     )
+
+
+def _require_analytic(
+    params: DeviceParams, state: QubitState, reset_duration: float, chi_source: str
+) -> None:
+    """Raise unless the closed-form reset exists for `state` and the window."""
+    if params.kerr_coeff != 0.0:
+        raise KerrNotSupported("analytic reset solution requires kerr_coeff = 0")
+    if reset_duration <= 0.0:
+        raise ConfigError(f"reset_duration must be > 0, got {reset_duration}")
+    c = complex_rate(params, state, chi_source).c
+    if abs(1.0 - np.exp(0.5 * c * reset_duration)) < 1e-12:
+        raise DegenerateDuration(
+            f"reset window {reset_duration} ns is degenerate for C = {c}"
+        )
 
 
 def sspe_analytic(
@@ -265,16 +344,11 @@ def sspe_analytic(
             denominator vanish (|1 - e^{dtau C/2}| below 1e-12).
     """
     j = QubitState(state)
-    if params.kerr_coeff != 0.0:
-        raise KerrNotSupported("analytic reset solution requires kerr_coeff = 0")
-    if reset_duration <= 0.0:
-        raise ConfigError(f"reset_duration must be > 0, got {reset_duration}")
-    c = complex_rate(params, j, chi_source).c
-    if abs(1.0 - np.exp(0.5 * c * reset_duration)) < 1e-12:
-        raise DegenerateDuration(
-            f"reset window {reset_duration} ns is degenerate for C = {c}"
-        )
-    return _sspe_solution(params, (j,), {j: 1.0}, readout, reset_duration, chi_source, "analytic")
+    _require_analytic(params, j, reset_duration, chi_source)
+    ends = _readout_ends(params, readout, QubitState, chi_source)
+    return _sspe_solution(
+        params, (j,), {j: 1.0}, readout, reset_duration, chi_source, "analytic", ends
+    )
 
 
 def sspe_optimize(
@@ -293,9 +367,12 @@ def sspe_optimize(
     alpha_j = alpha_j(tau) e_j + b_j u, so the optimum is the weighted
     least-squares drive u* = -sum_j w_j conj(b_j) alpha_j(tau) e_j /
     sum_j w_j |b_j|^2, exact and found without iteration.  With a Kerr term
-    Levenberg-Marquardt polishes (Re u, Im u) on RK4 endpoints, starting
-    from `seed` (amplitude, phase) or else the joint linear optimum; a
-    result whose polish did not converge comes back with the flag down
+    Levenberg-Marquardt polishes (Re u, Im u) on RK4 endpoints with the
+    exact Jacobian of the RK4 map, starting from `seed` (amplitude, phase)
+    or else the joint linear optimum.  A one-state Kerr design that stalls
+    above 1e-12 photons restarts once from the linear drive for the Kerr
+    readout end.  A result whose polish did not converge, or a one-state
+    Kerr result still above 1e-12 photons, comes back with the flag down
     (use `require_converged` to make it fatal).
 
     Raises:
@@ -306,12 +383,41 @@ def sspe_optimize(
         raise ConfigError(f"reset_duration must be > 0, got {reset_duration}")
     w = _resolve_weights(targets, weights)
     start = None if seed is None else [seed[0] * math.cos(seed[1]), seed[0] * math.sin(seed[1])]
-    sol = _sspe_solution(params, targets, w, readout, reset_duration, chi_source, "numeric", start)
+    ends = _readout_ends(params, readout, QubitState, chi_source)
+    sol = _sspe_solution(
+        params, targets, w, readout, reset_duration, chi_source, "numeric", ends, start
+    )
     if max_amplitude is not None and sol.reset_amplitude > max_amplitude:
         raise AmplitudeCapExceeded(
             f"optimal reset amplitude {sol.reset_amplitude:.6g} rad/ns exceeds cap {max_amplitude}"
         )
     return sol
+
+
+def _clear_schedule(
+    params: DeviceParams,
+    targets: tuple[QubitState, ...],
+    weights: Mapping[QubitState, float],
+    readout: DriveSegment,
+    reset_duration: float,
+    chi_source: str,
+    ends: Mapping[QubitState, complex],
+) -> PulseSchedule:
+    """`clear_optimize` from the readout end fields `ends`."""
+    half = reset_duration / 2.0
+
+    def reset(x: np.ndarray) -> PulseSchedule:
+        e1, e2 = float(x[0]), float(x[1])
+        p1 = readout.phase + (math.pi if e1 < 0.0 else 0.0)
+        p2 = readout.phase + math.pi + (math.pi if e2 < 0.0 else 0.0)
+        return PulseSchedule(segments=(DriveSegment(abs(e1), p1, half), DriveSegment(abs(e2), p2, half)))
+
+    x, converged, _ = _least_squares_drive(
+        params, targets, weights, readout, reset, ends, chi_source
+    )
+    if not converged:
+        raise NotConverged("baseline amplitude polish did not converge")
+    return PulseSchedule(segments=(readout, *reset(x)), label=SchemeLabel.CLEAR.value)
 
 
 def clear_optimize(
@@ -327,9 +433,9 @@ def clear_optimize(
     The reset window is split into equal halves with phases pinned to
     phi_n and phi_n + pi; the two signed amplitudes are the free
     parameters of the same weighted least-squares solve as `sspe_optimize`
-    (exact in the linear model, Levenberg-Marquardt from the linear
-    optimum with a Kerr term).  Negative amplitudes fold into a pi phase
-    advance in the returned segments.
+    (exact in the linear model, Levenberg-Marquardt with the exact RK4
+    Jacobian from the linear optimum with a Kerr term).  Negative
+    amplitudes fold into a pi phase advance in the returned segments.
 
     Raises:
         NotConverged: the Kerr polish did not converge.
@@ -338,18 +444,8 @@ def clear_optimize(
     if reset_duration <= 0.0:
         raise ConfigError(f"reset_duration must be > 0, got {reset_duration}")
     w = _resolve_weights(targets, weights)
-    half = reset_duration / 2.0
-
-    def reset(x: np.ndarray) -> PulseSchedule:
-        e1, e2 = float(x[0]), float(x[1])
-        p1 = readout.phase + (math.pi if e1 < 0.0 else 0.0)
-        p2 = readout.phase + math.pi + (math.pi if e2 < 0.0 else 0.0)
-        return PulseSchedule(segments=(DriveSegment(abs(e1), p1, half), DriveSegment(abs(e2), p2, half)))
-
-    x, converged, _ = _least_squares_drive(params, targets, w, readout, reset, chi_source)
-    if not converged:
-        raise NotConverged("baseline amplitude polish did not converge")
-    return PulseSchedule(segments=(readout, *reset(x)), label=SchemeLabel.CLEAR.value)
+    ends = _readout_ends(params, readout, targets, chi_source)
+    return _clear_schedule(params, targets, w, readout, reset_duration, chi_source, ends)
 
 
 # -- residual maps ---------------------------------------------------------
@@ -620,30 +716,42 @@ def compare_schemes(
     All three schedules span the same total duration tau + dtau: the square
     scheme pads the readout with a zero-amplitude tail so its reset window
     is pure free decay.  Reset drives are designed per state (analytically
-    in the linear model).  Each entry reports the end-of-window residual,
-    the peak photon number inside the window, and the fitted effective
-    decay rate under the fit-window rule of `reset_window_rate`.
+    in the linear model), all from one readout end field per state.  Each
+    entry reports the end-of-window residual, the peak photon number inside
+    the window, and the fitted effective decay rate under the fit-window
+    rule of `reset_window_rate`.  Peak and rate come from the trajectory
+    sampled at `sample_dt`; the residual is the design endpoint (exact in
+    the linear model, RK4 at DESIGN_DT with a Kerr term), because a coarse
+    RK4 trajectory through a strong two-segment window can miss it by
+    1e-8 photons.
     """
     targets = _normalize_states(states)
+    if reset_duration <= 0.0:
+        raise ConfigError(f"reset_duration must be > 0, got {reset_duration}")
     tau = readout.duration
     total = tau + reset_duration
+    linear = params.kerr_coeff == 0.0
+    ends = _readout_ends(params, readout, targets, chi_source)
+    square = PulseSchedule(
+        segments=(readout, DriveSegment(0.0, 0.0, reset_duration)),
+        label=SchemeLabel.SQUARE.value,
+    )
 
     entries: dict[tuple[str, QubitState], SchemeMetrics] = {}
     for j in targets:
-        schedules: dict[str, PulseSchedule] = {}
-
-        schedules[SchemeLabel.SQUARE.value] = PulseSchedule(
-            segments=(readout, DriveSegment(0.0, 0.0, reset_duration)),
-            label=SchemeLabel.SQUARE.value,
+        if linear:
+            _require_analytic(params, j, reset_duration, chi_source)
+        sol = _sspe_solution(
+            params, (j,), {j: 1.0}, readout, reset_duration, chi_source,
+            "analytic" if linear else "numeric", ends,
         )
-        if params.kerr_coeff == 0.0:
-            sol = sspe_analytic(params, j, readout, reset_duration, chi_source)
-        else:
-            sol = sspe_optimize(params, j, readout, reset_duration, chi_source=chi_source)
-        schedules[SchemeLabel.SSPE.value] = sol.schedule()
-        schedules[SchemeLabel.CLEAR.value] = clear_optimize(
-            params, j, readout, reset_duration, chi_source=chi_source
-        )
+        schedules = {
+            SchemeLabel.SQUARE.value: square,
+            SchemeLabel.SSPE.value: sol.schedule(),
+            SchemeLabel.CLEAR.value: _clear_schedule(
+                params, (j,), {j: 1.0}, readout, reset_duration, chi_source, ends
+            ),
+        }
 
         for scheme, sched in schedules.items():
             if abs(sched.total_duration - total) > 1e-9:
@@ -653,12 +761,18 @@ def compare_schemes(
             traj = propagate(params, sched, j, sample_dt=sample_dt, chi_source=chi_source)
             window = (traj.times >= tau - 1e-12)
             peak = float(np.max(traj.photon[window]))
+            if linear:
+                # the closed-form trajectory ends on the exact endpoint
+                residual_end = float(traj.photon[-1])
+            else:
+                reset_window = PulseSchedule(segments=sched.segments[1:])
+                residual_end = abs(_end_fields(params, reset_window, {j: ends[j]}, chi_source)[j]) ** 2
             entries[(scheme, j)] = SchemeMetrics(
                 scheme=scheme,
                 qubit_state=j,
                 schedule=sched,
                 trajectory=traj,
-                residual_end=float(traj.photon[-1]),
+                residual_end=residual_end,
                 peak_photons=peak,
                 rate_fit=reset_window_rate(traj, tau, total),
             )

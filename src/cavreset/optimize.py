@@ -1,10 +1,11 @@
 """Least-squares machinery shared by the pulse-design and fit code.
 
-One workhorse lives here: a Levenberg-Marquardt wrapper with a
-central-difference Jacobian.  The data-fitting models use it, and so does
-the Kerr route of the reset design, which polishes the linear-model
-optimum on RK4 endpoints.  scipy is imported on the first call, so
-importing the package does not load it.
+One workhorse lives here: a Levenberg-Marquardt wrapper.  The
+data-fitting models use it with a central-difference Jacobian.  The Kerr
+route of the reset design uses it to polish the linear-model optimum on
+RK4 endpoints, and passes the exact Jacobian of the RK4 map, which its
+sensitivity pass computes together with the residuals.  scipy is imported
+on the first call, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -70,15 +71,25 @@ def levenberg_marquardt(
     p0: Sequence[float],
     rel_step: float = 1e-6,
     max_nfev: int = 2000,
+    jac: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> LMResult:
-    """Least-squares fit with LM steps and a central-difference Jacobian."""
+    """Least-squares fit with LM steps.
+
+    `jac(p)` returns the Jacobian d r_i / d p_j; without it the Jacobian is
+    `central_difference_jacobian` with `rel_step`.  `nfev` counts residual
+    evaluations only.
+    """
     from scipy.optimize import least_squares
+
+    if jac is None:
+        def jac(p: np.ndarray) -> np.ndarray:
+            return central_difference_jacobian(residuals, p, rel_step)
 
     p0 = np.asarray(p0, dtype=float)
     res = least_squares(
         residuals,
         p0,
-        jac=lambda p: central_difference_jacobian(residuals, p, rel_step),
+        jac=jac,
         method="lm",
         xtol=1e-14,
         ftol=1e-14,

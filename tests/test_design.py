@@ -158,6 +158,43 @@ class TestOptimizer:
         assert sol.converged
         assert sol.residual_photons[0] < 1e-6
 
+    @pytest.mark.parametrize("kerr", [0.0, -0.05])
+    def test_residuals_equal_full_schedule_endpoints(self, device, readout, kerr):
+        # the readout end is shared, the window continues from it
+        dev = device.with_(kerr_coeff=kerr)
+        sol = sspe_optimize(dev, (0, 1), readout, RESET)
+        for j in (0, 1):
+            if kerr == 0.0:
+                end = final_alpha(dev, sol.schedule(), j)
+            else:
+                end = ode_final_alpha(dev, sol.schedule(), j, dt=DESIGN_DT)
+            assert sol.residual_photons[j] == abs(end) ** 2
+
+    def test_kerr_design_escapes_local_minimum(self, device):
+        # LM from the linear optimum stalls at 0.61 photons here; the restart
+        # from the linear drive for the Kerr readout end reaches zero
+        dev = device.with_(kerr_coeff=-0.3572)
+        sol = sspe_optimize(dev, 0, DriveSegment(0.03284, 3.112, 530.4), 70.7)
+        assert sol.converged
+        assert sol.residual_photons[0] <= 1e-20
+
+    def test_kerr_stall_is_not_reported_as_converged(self, device, readout, monkeypatch):
+        import cavreset.design as design_module
+        from cavreset.optimize import LMResult
+
+        def stalled(residuals, p0, **_):
+            r = residuals(np.asarray(p0, dtype=float))
+            return LMResult(np.asarray(p0, dtype=float), 0.5 * float(r @ r), r,
+                            np.zeros((r.size, 2)), 1, True, "stalled")
+
+        monkeypatch.setattr(design_module, "levenberg_marquardt", stalled)
+        sol = sspe_optimize(device.with_(kerr_coeff=-0.3), 0, readout, RESET)
+        assert sol.residual_photons[0] > 1e-12
+        assert not sol.converged
+        assert sol.iterations == 2  # the first run and the one restart
+        with pytest.raises(NotConverged):
+            sol.require_converged()
+
     def test_result_serializes(self, device, readout):
         import json
 
@@ -377,6 +414,25 @@ class TestCompare:
     def test_clear_overshoots_sspe_does_not(self, device, readout):
         comp = compare_schemes(device, (0,), readout, RESET)
         assert comp.metrics("clear", 0).peak_photons > 5.0 * comp.metrics("sspe", 0).peak_photons
+
+    def test_kerr_residual_end_is_the_design_endpoint(self, device):
+        # the CLEAR window peaks at 525 photons: a 0.1 ns trajectory is
+        # 2e-8 photons off at its end, DESIGN_DT RK4 is not
+        dev = device.with_(kerr_coeff=-0.31254)
+        readout = DriveSegment(0.031481, 2.65502, 399.19)
+        comp = compare_schemes(dev, 0, readout, 42.994)
+        assert comp.metrics("clear", 0).peak_photons > 500.0
+        for scheme in ("square", "sspe", "clear"):
+            m = comp.metrics(scheme, 0)
+            fine = abs(ode_final_alpha(dev, m.schedule, 0, dt=0.005)) ** 2
+            assert abs(m.residual_end - fine) <= 1e-9
+            assert m.residual_end == abs(ode_final_alpha(dev, m.schedule, 0, dt=DESIGN_DT)) ** 2
+
+    def test_linear_residual_end_is_the_exact_endpoint(self, device, readout):
+        comp = compare_schemes(device, (0, 1), readout, RESET)
+        for (_, j), m in comp.entries.items():
+            expected = abs(final_alpha(device, m.schedule, j)) ** 2
+            assert m.residual_end == pytest.approx(expected, rel=1e-12, abs=1e-20)
 
     def test_write_bundle(self, device, readout, tmp_path):
         comp = compare_schemes(device, (0,), readout, RESET)

@@ -285,3 +285,137 @@ def _alpha_at_time(device, schedule, t):
         ss = steady_state_alpha(c, seg.complex_amplitude)
         return ss + (alpha - ss) * cmath.exp(-0.5 * c * (t - clock))
     return alpha
+
+
+def _closure_rk4(alpha0, segments, half_c, kc, dt, samples=None):
+    """RK4 with the right-hand side as a closure per segment.
+
+    The plain form of `dynamics._rk4`, whose stages write the right-hand
+    side out inline; kept here as the bit-identity reference for it.
+    """
+    from cavreset.dynamics import _rk4_steps
+
+    a = alpha0
+    for drive, duration in segments:
+        n, h = _rk4_steps(duration, dt)
+        drive_term = -1j * drive
+        if kc == 0.0:
+
+            def rhs(x):
+                return drive_term - half_c * x
+
+        else:
+
+            def rhs(x):
+                return drive_term - half_c * x - 1j * kc * (x.real * x.real + x.imag * x.imag) * x
+
+        for _ in range(n):
+            k1 = rhs(a)
+            k2 = rhs(a + 0.5 * h * k1)
+            k3 = rhs(a + 0.5 * h * k2)
+            k4 = rhs(a + h * k3)
+            a = a + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if samples is not None:
+                samples.append(a)
+    return a
+
+
+def _segments(schedule):
+    return [(seg.complex_amplitude, seg.duration) for seg in schedule]
+
+
+class TestInlineRk4:
+    """The inlined RK4 stages give the same bits as the closure form."""
+
+    @pytest.mark.parametrize("kerr", [0.0, -0.011, 0.2])
+    @pytest.mark.parametrize("state", [0, 1])
+    def test_propagate_ode_samples(self, device, kerr, state):
+        dev = device.with_(kerr_coeff=kerr)
+        sched = two_segment_schedule()
+        traj = propagate_ode(dev, sched, state, dt=0.05)
+        half_c = 0.5 * complex_rate(dev, state).c
+        samples = [0j]
+        _closure_rk4(0j, _segments(sched), half_c, kerr * MHZ_TO_RAD_NS, 0.05, samples)
+        assert np.array_equal(traj.alpha, np.array(samples))
+
+    @pytest.mark.parametrize("kerr", [0.0, -0.5])
+    @pytest.mark.parametrize("dt", [0.05, 0.013])
+    def test_ode_final_alpha(self, device, readout, kerr, dt):
+        dev = device.with_(kerr_coeff=kerr)
+        sched = PulseSchedule((readout, DriveSegment(0.04, 1.9, 37.3)))
+        half_c = 0.5 * complex_rate(dev, 1).c
+        expected = _closure_rk4(0j, _segments(sched), half_c, kerr * MHZ_TO_RAD_NS, dt)
+        assert ode_final_alpha(dev, sched, 1, dt=dt, alpha0=0j) == expected
+
+    def test_kerr_residual_map_cells(self, device):
+        from cavreset.design import DESIGN_DT, residual_map
+
+        dev = device.with_(kerr_coeff=-0.2)
+        readout = DriveSegment(0.03, 0.4, 200.0)
+        amps = np.linspace(0.0, 0.08, 7)
+        phases = np.linspace(0.0, 2.0 * math.pi, 6, endpoint=False)
+        grid = residual_map(dev, 0, readout, 20.0, amps, phases)
+        half_c = 0.5 * complex_rate(dev, 0).c
+        kc = dev.kerr_coeff * MHZ_TO_RAD_NS
+        alpha_tau = _closure_rk4(0j, [(readout.complex_amplitude, readout.duration)], half_c, kc, DESIGN_DT)
+        drives = amps[:, None] * np.exp(1j * phases[None, :])
+        expected = np.abs(_closure_rk4(alpha_tau, [(drives, 20.0)], half_c, kc, DESIGN_DT)) ** 2
+        assert np.array_equal(grid.residual, expected)
+
+
+class TestRk4Tangent:
+    """The sensitivity pass: `_rk4` plus the exact derivative of its map."""
+
+    def _window(self, drives, durations):
+        # the drive of every segment is x0 * drives[k] + x1 * 1j * drives[k]
+        def segments(x):
+            return [
+                (complex(x[0], x[1]) * d, t, d, 1j * d) for d, t in zip(drives, durations)
+            ]
+
+        return segments
+
+    @pytest.mark.parametrize(
+        "drives,durations",
+        [((1.0,), (60.0,)), ((1.0, -0.7 + 0.2j), (25.0, 25.0))],
+        ids=["one_segment", "two_segments"],
+    )
+    def test_field_equals_rk4(self, device, drives, durations):
+        from cavreset.dynamics import _rk4, _rk4_tangent
+
+        half_c = 0.5 * complex_rate(device, 0).c
+        kc = -0.5 * MHZ_TO_RAD_NS
+        segments = self._window(drives, durations)([0.03, -0.05])
+        alpha0 = 1.7 - 2.2j
+        a, _, _ = _rk4_tangent(alpha0, segments, half_c, kc, 0.05)
+        assert a == _rk4(alpha0, [(d, t) for d, t, _, _ in segments], half_c, kc, 0.05)
+
+    @pytest.mark.parametrize(
+        "drives,durations",
+        [((1.0,), (60.0,)), ((1.0, -0.7 + 0.2j), (25.0, 25.0))],
+        ids=["one_segment", "two_segments"],
+    )
+    def test_jacobian_matches_central_differences(self, device, drives, durations):
+        from cavreset.dynamics import _rk4, _rk4_tangent
+        from cavreset.optimize import central_difference_jacobian
+
+        half_c = 0.5 * complex_rate(device, 1).c
+        kc = -0.5 * MHZ_TO_RAD_NS
+        window = self._window(drives, durations)
+        alpha0 = 1.7 - 2.2j
+        x = np.array([0.03, -0.05])
+
+        def residuals(p):
+            a = _rk4(alpha0, [(d, t) for d, t, _, _ in window(p)], half_c, kc, 0.05)
+            return np.array([a.real, a.imag])
+
+        _, d0, d1 = _rk4_tangent(alpha0, window(x), half_c, kc, 0.05)
+        exact = np.array([[d0.real, d1.real], [d0.imag, d1.imag]])
+        numeric = central_difference_jacobian(residuals, x)
+        assert np.max(np.abs(exact - numeric)) <= 1e-7 * np.max(np.abs(exact))
+
+    def test_invalid_dt_is_config_error(self, device):
+        from cavreset.dynamics import _rk4_tangent
+
+        with pytest.raises(ConfigError):
+            _rk4_tangent(0j, [(0.01, 10.0, 1.0, 1j)], 0.5 * complex_rate(device, 0).c, -0.01, 0.0)

@@ -56,6 +56,26 @@ class TestLevenbergMarquardt:
         fit = levenberg_marquardt(residuals, [1.0, 0.5])
         assert fit.params == pytest.approx([1.8, 0.9], rel=1e-8)
 
+    def test_supplied_jacobian_replaces_differences(self):
+        x = np.linspace(0.0, 3.0, 40)
+        y = 1.8 * np.exp(-0.9 * x)
+        evaluations = []
+
+        def residuals(p):
+            evaluations.append(p.copy())
+            return p[0] * np.exp(-p[1] * x) - y
+
+        def jac(p):
+            e = np.exp(-p[1] * x)
+            return np.column_stack([e, -p[0] * x * e])
+
+        fit = levenberg_marquardt(residuals, [1.0, 0.5], jac=jac)
+        assert fit.success
+        assert fit.params == pytest.approx([1.8, 0.9], rel=1e-10)
+        # no difference quotients: every residual call is one LM evaluation
+        # (plus the initial-point evaluation in scipy's least_squares)
+        assert len(evaluations) <= fit.nfev + 1
+
     def test_covariance_matches_linear_algebra(self):
         rng = np.random.default_rng(7)
         x = np.linspace(0.0, 1.0, 50)
