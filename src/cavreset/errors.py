@@ -59,10 +59,6 @@ class PeakAtEdge(NumericError):
     """Spectrum maximum sits on the first or last sweep point."""
 
 
-class NoRealRoot(NumericError):
-    """Steady-state cubic produced no bracketable non-negative root."""
-
-
 class DegenerateRates(NumericError):
     """Backaction model with gamma_out + gamma_back = 0 has no steady state."""
 

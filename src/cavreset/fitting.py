@@ -10,8 +10,11 @@ Four analysis chains, each a forward model plus a fit:
 * Repeated-measurement backaction: geometric approach to a steady-state
   probability, parameterized by per-measurement leave/return rates.
 
-Plus the steady-state response of the weakly nonlinear cavity (a real
-cubic), which anchors the drive-voltage calibration fit.
+Plus the steady-state response of the weakly nonlinear cavity, the lowest
+root of a real cubic in closed form, which anchors the drive-voltage
+calibration fit; that fit starts from one linear least-squares solve.
+
+Every fit rejects NaN or infinite samples with ConfigError.
 
 Units here follow the data they fit: Ramsey times in us with angular rates
 in rad/us; decay samples in ns with rates returned in ordinary MHz;
@@ -26,12 +29,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import MHZ_TO_RAD_NS, DeviceParams, QubitState, chi_shift
+from .core import MHZ_TO_RAD_NS, DeviceParams, QubitState, chi_shift, complex_rate
 from .errors import (
     ConfigError,
     DegenerateRates,
     InsufficientSamples,
-    NoRealRoot,
     NonPositiveSample,
     PeakAtEdge,
 )
@@ -58,6 +60,15 @@ class FitResult:
             if self.covariance_diag is None
             else dict(self.covariance_diag),
         }
+
+
+def _finite_samples(
+    pts: Sequence[tuple[float, float]], what: str
+) -> Sequence[tuple[float, float]]:
+    """pts unchanged, or ConfigError if any value is NaN or infinite."""
+    if not all(math.isfinite(x) and math.isfinite(y) for x, y in pts):
+        raise ConfigError(f"{what} samples must be finite, got NaN or infinity")
+    return pts
 
 
 # -- Ramsey ------------------------------------------------------------------
@@ -149,9 +160,10 @@ def fit_ramsey(
     square root.
 
     Raises:
+        ConfigError: a NaN or infinite sample.
         InsufficientSamples: fewer than 10 points or a span under 2/kappa.
     """
-    pts = sorted((float(t), float(s)) for t, s in samples)
+    pts = _finite_samples(sorted((float(t), float(s)) for t, s in samples), "Ramsey")
     if len(pts) < 10:
         raise InsufficientSamples(f"need >= 10 Ramsey samples, got {len(pts)}")
     times = np.array([p[0] for p in pts])
@@ -218,10 +230,11 @@ def exp_decay_fit(samples: Sequence[tuple[float, float]]) -> FitResult:
     divided by 2*pi*1e-3), matching how cavity decay rates are quoted.
 
     Raises:
+        ConfigError: a NaN or infinite sample.
         NonPositiveSample: any n <= 0 (take the log first elsewhere).
         InsufficientSamples: fewer than 3 points.
     """
-    pts = [(float(t), float(n)) for t, n in samples]
+    pts = _finite_samples([(float(t), float(n)) for t, n in samples], "decay")
     if len(pts) < 3:
         raise InsufficientSamples(f"need >= 3 decay samples, got {len(pts)}")
     times = np.array([p[0] for p in pts])
@@ -364,9 +377,10 @@ def fit_backaction(samples: Sequence[tuple[float, float]]) -> FitResult:
     steady state pinned to the constant.
 
     Raises:
+        ConfigError: a NaN or infinite sample.
         InsufficientSamples: fewer than 5 distinct m values.
     """
-    pts = sorted((float(m), float(p)) for m, p in samples)
+    pts = _finite_samples(sorted((float(m), float(p)) for m, p in samples), "backaction")
     m_vals = np.array([p[0] for p in pts])
     p_vals = np.array([p[1] for p in pts])
     if np.unique(m_vals).size < 5:
@@ -435,72 +449,57 @@ def kerr_steady_state(
     """Steady-state photon number of the (weakly) Kerr-shifted cavity.
 
     Solves n [4 (delta + K_c n)^2 + kappa^2] = 4 eps^2 (angular rad/ns
-    throughout; delta = Delta_r + chi_j) for the smallest non-negative
-    root: the low-photon branch reached by ringing up from vacuum.  The
-    root is located by a scan for the first sign change, tightened by
-    bisection, then polished by Newton steps.
-
-    Raises:
-        NoRealRoot: no bracket found (defensive; the physical sign pattern
-            always yields one).
+    throughout; delta = Im C / 2 and kappa = Re C from `complex_rate`) for
+    the smallest non-negative root: the low-photon branch reached by ringing
+    up from vacuum.  Every real root is positive.  With n = n_lin / z, where
+    n_lin = 4 eps^2 / (4 delta^2 + kappa^2) is the linear response, the
+    cubic becomes z^3 - z^2 - p z - q = 0, whose coefficients stay bounded
+    as K_c -> 0, and the wanted root is its largest real z: the
+    trigonometric form when there are three real roots, Cardano's form
+    otherwise.  At most two Newton steps on the original cubic follow.
     """
-    j = QubitState(state)
     eps = float(drive_amp)
     if eps < 0.0:
         raise ConfigError(f"drive amplitude must be >= 0, got {drive_amp}")
+    c = complex_rate(params, state, chi_source).c
     if eps == 0.0:
         return 0.0
-    delta = (params.detuning_r(chi_source) + chi_shift(params, j, chi_source)) * MHZ_TO_RAD_NS
-    kappa = params.kappa * MHZ_TO_RAD_NS
+    delta, kappa = 0.5 * c.imag, c.real
     kc = params.kerr_coeff * MHZ_TO_RAD_NS
+    linear = 4.0 * delta * delta + kappa * kappa
+    n_lin = 4.0 * eps * eps / linear
     if kc == 0.0:
-        return 4.0 * eps * eps / (4.0 * delta * delta + kappa * kappa)
+        return n_lin
 
-    def f(n: float) -> float:
-        shifted = delta + kc * n
-        return n * (4.0 * shifted * shifted + kappa * kappa) - 4.0 * eps * eps
-
-    def df(n: float) -> float:
-        shifted = delta + kc * n
-        return 4.0 * shifted * shifted + kappa * kappa + 8.0 * n * shifted * kc
-
-    upper = 8.0 * eps * eps / (kappa * kappa) if kappa > 0.0 else 1.0
-    for _ in range(200):
-        if f(upper) > 0.0:
-            break
-        upper *= 2.0
+    p = 8.0 * delta * kc * n_lin / linear
+    q = 4.0 * kc * kc * n_lin * n_lin / linear
+    # depressed cubic t^3 + a t + b = 0 with z = t + 1/3
+    a = -(p + 1.0 / 3.0)
+    b = -(2.0 / 27.0 + p / 3.0 + q)
+    disc = 0.25 * b * b + a * a * a / 27.0
+    if disc < 0.0:
+        r = math.sqrt(-a / 3.0)
+        cos3 = min(max(-0.5 * b / (r * r * r), -1.0), 1.0)
+        t = 2.0 * r * math.cos(math.acos(cos3) / 3.0)
     else:
-        raise NoRealRoot("no steady-state bracket found")
+        u = float(np.cbrt(-0.5 * b + math.copysign(math.sqrt(disc), -b)))
+        t = u - a / (3.0 * u) if u != 0.0 else 0.0
+    root = n_lin / (t + 1.0 / 3.0)
 
-    # first sign change pins the lowest branch even when the cubic has
-    # three real roots (bistable regime)
-    grid = np.linspace(0.0, upper, 513)
-    lo = 0.0
-    hi = upper
-    for left, right in zip(grid[:-1], grid[1:]):
-        if f(float(right)) >= 0.0:
-            lo, hi = float(left), float(right)
-            break
-
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
-    for _ in range(8):
-        deriv = df(root)
+    for _ in range(2):
+        shifted = delta + kc * root
+        value = root * (4.0 * shifted * shifted + kappa * kappa) - 4.0 * eps * eps
+        deriv = 4.0 * shifted * shifted + kappa * kappa + 8.0 * root * shifted * kc
         if deriv == 0.0:
             break
-        step = f(root) / deriv
+        step = value / deriv
         candidate = root - step
         if candidate < 0.0 or not math.isfinite(candidate):
             break
         root = candidate
         if abs(step) < 1e-15 * max(root, 1.0):
             break
-    return max(root, 0.0)
+    return root
 
 
 def fit_kerr_calibration(
@@ -513,27 +512,30 @@ def fit_kerr_calibration(
 
     The model is n = kerr_steady_state(eps = volt_to_eps * V) with the Kerr
     coefficient free, reported as an ordinary frequency in kHz.  The
-    voltage scale is seeded from the low-power linear slope.
+    steady-state condition n [4 (delta + K n)^2 + kappa^2] = 4 s^2 V^2 is
+    linear in (s^2, K, K^2), so one least-squares solve gives the start;
+    Levenberg-Marquardt then fits the photon numbers themselves, because
+    the algebraic estimate is biased under noise.
 
     Raises:
+        ConfigError: a NaN or infinite value, or a negative V^2.
         InsufficientSamples: fewer than 6 points.
     """
-    pts = sorted((float(v2), float(n)) for v2, n in points)
+    pts = _finite_samples(sorted((float(v2), float(n)) for v2, n in points), "calibration")
     if len(pts) < 6:
         raise InsufficientSamples(f"need >= 6 calibration points, got {len(pts)}")
     v2 = np.array([p[0] for p in pts])
     n_meas = np.array([p[1] for p in pts])
     if np.any(v2 < 0.0):
         raise ConfigError("squared voltages must be >= 0")
-    j = QubitState(state)
 
-    delta = (params.detuning_r(chi_source) + chi_shift(params, j, chi_source)) * MHZ_TO_RAD_NS
-    kappa = params.kappa * MHZ_TO_RAD_NS
-    low = slice(0, 3)
-    nz = v2[low] > 0.0
-    slope = float(np.mean(n_meas[low][nz] / v2[low][nz]))
-    c0 = 0.5 * math.sqrt(max(slope, 1e-30) * (4.0 * delta * delta + kappa * kappa))
-
+    c = complex_rate(params, state, chi_source).c
+    delta, kappa = 0.5 * c.imag, c.real
+    design = np.column_stack([4.0 * v2, -8.0 * delta * n_meas**2, -4.0 * n_meas**3])
+    norms = np.linalg.norm(design, axis=0)
+    norms[norms == 0.0] = 1.0
+    rhs = n_meas * (4.0 * delta * delta + kappa * kappa)
+    start = np.linalg.lstsq(design / norms, rhs, rcond=None)[0] / norms
     volts = np.sqrt(v2)
 
     def residuals(p: np.ndarray) -> np.ndarray:
@@ -541,13 +543,15 @@ def fit_kerr_calibration(
         trial = params.with_(kerr_coeff=kerr_khz * 1e-3)
         model = np.array(
             [
-                kerr_steady_state(trial, j, abs(scale) * v, chi_source)
+                kerr_steady_state(trial, state, abs(scale) * v, chi_source)
                 for v in volts
             ]
         )
         return model - n_meas
 
-    lm = levenberg_marquardt(residuals, [c0, 0.0])
+    lm = levenberg_marquardt(
+        residuals, [math.sqrt(abs(start[0])), start[1] / MHZ_TO_RAD_NS * 1e3]
+    )
     values = {"volt_to_eps": abs(float(lm.params[0])), "kerr_khz": float(lm.params[1])}
     return FitResult(
         values=values,

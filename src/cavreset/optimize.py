@@ -15,22 +15,26 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+#: Central-difference step relative to max(|p_j|, 1).
+_REL_STEP = 1e-6
+
+#: Residual evaluations after which Levenberg-Marquardt gives up.
+_MAX_NFEV = 2000
+
 
 def central_difference_jacobian(
-    residuals: Callable[[np.ndarray], np.ndarray],
-    params: np.ndarray,
-    rel_step: float = 1e-6,
+    residuals: Callable[[np.ndarray], np.ndarray], params: np.ndarray
 ) -> np.ndarray:
     """Jacobian d r_i / d p_j by symmetric differences.
 
-    Step per parameter is rel_step * max(|p_j|, 1), which keeps the
+    Step per parameter is _REL_STEP * max(|p_j|, 1), which keeps the
     truncation and roundoff errors balanced for parameters spanning many
     decades (rates in 1/us next to photon numbers in tens).
     """
     params = np.asarray(params, dtype=float)
     cols = []
     for j in range(params.size):
-        h = rel_step * max(abs(params[j]), 1.0)
+        h = _REL_STEP * max(abs(params[j]), 1.0)
         up = params.copy()
         dn = params.copy()
         up[j] += h
@@ -69,21 +73,19 @@ class LMResult:
 def levenberg_marquardt(
     residuals: Callable[[np.ndarray], np.ndarray],
     p0: Sequence[float],
-    rel_step: float = 1e-6,
-    max_nfev: int = 2000,
     jac: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> LMResult:
     """Least-squares fit with LM steps.
 
     `jac(p)` returns the Jacobian d r_i / d p_j; without it the Jacobian is
-    `central_difference_jacobian` with `rel_step`.  `nfev` counts residual
-    evaluations only.
+    `central_difference_jacobian`.  `nfev` counts residual evaluations only,
+    at most _MAX_NFEV.
     """
     from scipy.optimize import least_squares
 
     if jac is None:
         def jac(p: np.ndarray) -> np.ndarray:
-            return central_difference_jacobian(residuals, p, rel_step)
+            return central_difference_jacobian(residuals, p)
 
     p0 = np.asarray(p0, dtype=float)
     res = least_squares(
@@ -94,7 +96,7 @@ def levenberg_marquardt(
         xtol=1e-14,
         ftol=1e-14,
         gtol=1e-14,
-        max_nfev=max_nfev,
+        max_nfev=_MAX_NFEV,
     )
     return LMResult(
         params=res.x,

@@ -133,18 +133,3 @@ class PulseSchedule:
             segments=self.segments + tuple(extra),
             label=self.label if label is None else label,
         )
-
-
-def square_readout(amplitude: float, phase: float, duration: float) -> PulseSchedule:
-    """Single constant readout tone."""
-    return PulseSchedule(
-        segments=(DriveSegment(amplitude, phase, duration),),
-        label=SchemeLabel.SQUARE.value,
-    )
-
-
-def readout_then_reset(
-    readout: DriveSegment, reset_segments: Iterable[DriveSegment], label: str
-) -> PulseSchedule:
-    """Readout segment followed by one or more reset segments."""
-    return PulseSchedule(segments=(readout, *reset_segments), label=label)

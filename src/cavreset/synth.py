@@ -9,6 +9,7 @@ one seed, one dataset, byte-for-byte.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -169,7 +170,7 @@ def write_samples_csv(
 
 
 def read_samples_csv(path: str | Path) -> list[tuple[float, ...]]:
-    """Rows of a numeric CSV with a header line."""
+    """Rows of a finite numeric CSV with a header line."""
     try:
         fh = Path(path).open()
     except OSError as exc:
@@ -181,6 +182,9 @@ def read_samples_csv(path: str | Path) -> list[tuple[float, ...]]:
         except StopIteration as exc:
             raise ConfigError(f"{path} is empty") from exc
         try:
-            return [tuple(float(v) for v in row) for row in reader if row]
+            rows = [tuple(float(v) for v in row) for row in reader if row]
         except ValueError as exc:
             raise ConfigError(f"{path} holds non-numeric data: {exc}") from exc
+    if not all(math.isfinite(v) for row in rows for v in row):
+        raise ConfigError(f"{path} holds NaN or infinite values")
+    return rows

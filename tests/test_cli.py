@@ -205,6 +205,11 @@ class TestFit:
         write_samples_csv(data, ["t_ns", "n"], [(0.0, 1.0), (1.0, 0.0), (2.0, 0.1)])
         assert run("fit", "decay", "--data", str(data), "--out", str(tmp_path)) == 3
 
+    def test_decay_with_nan_time_is_config_error(self, tmp_path):
+        data = tmp_path / "nan.csv"
+        data.write_text("t_ns,n\n0.0,1.0\nnan,0.5\n2.0,0.25\n")
+        assert run("fit", "decay", "--data", str(data), "--out", str(tmp_path)) == 2
+
     def test_missing_data_file_is_config_error(self, tmp_path):
         assert run("fit", "decay", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path)) in (2,)
 

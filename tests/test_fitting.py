@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavreset import (
     BackactionModel,
@@ -15,12 +17,16 @@ from cavreset import (
     RamseyModel,
     ac_stark_reconstruct,
     backaction_forward,
+    chi_shift,
+    critical_photon_number,
+    default_device,
     exp_decay_fit,
     fit_backaction,
     fit_kerr_calibration,
     fit_ramsey,
     kerr_steady_state,
     ramsey_forward,
+    ring_up_segment,
 )
 
 MHZ_TO_RAD_NS = 2.0 * math.pi * 1e-3
@@ -156,6 +162,12 @@ class TestFitRamsey:
         with pytest.raises(ConfigError):
             fit_ramsey(trace(device, 1.0), fixed)
 
+    def test_nan_sample_rejected(self, device):
+        data = trace(device, 1.0)
+        data[50] = (data[50][0], float("nan"))
+        with pytest.raises(ConfigError):
+            fit_ramsey(data, fixed_for(device), init={"fringe": 2.0 * math.pi, "phi0": 0.3})
+
     def test_covariance_reported(self, device):
         result = fit_ramsey(
             trace(device, 1.0), fixed_for(device), init={"fringe": 2.0 * math.pi, "phi0": 0.3}
@@ -181,6 +193,10 @@ class TestExpDecay:
     def test_too_few(self):
         with pytest.raises(InsufficientSamples):
             exp_decay_fit([(0.0, 1.0), (1.0, 0.5)])
+
+    def test_nan_sample_rejected(self):
+        with pytest.raises(ConfigError):
+            exp_decay_fit([(0.0, 1.0), (1.0, float("nan")), (2.0, 0.5), (3.0, 0.3)])
 
 
 class TestAcStark:
@@ -295,6 +311,12 @@ class TestFitBackaction:
         with pytest.raises(InsufficientSamples):
             fit_backaction([(1, 0.9), (1, 0.9), (2, 0.8), (2, 0.8), (3, 0.7)])
 
+    def test_nan_sample_rejected(self):
+        data = self.dataset(0.0722, 0.01)
+        data[10] = (data[10][0], float("nan"))
+        with pytest.raises(ConfigError):
+            fit_backaction(data)
+
 
 class TestKerrSteadyState:
     def test_linear_limit_identity(self, device):
@@ -335,6 +357,94 @@ class TestKerrSteadyState:
         )
 
 
+def scan_bisect_root(params, state, eps, chi_source):
+    """Reference steady state: first sign change on a 513-point scan, 80
+    bisections, then Newton steps; the lowest root wherever the two lowest
+    roots do not share one scan cell."""
+    delta = (params.detuning_r(chi_source) + chi_shift(params, state, chi_source)) * MHZ_TO_RAD_NS
+    kappa = params.kappa * MHZ_TO_RAD_NS
+    kc = params.kerr_coeff * MHZ_TO_RAD_NS
+
+    def f(n):
+        shifted = delta + kc * n
+        return n * (4.0 * shifted * shifted + kappa * kappa) - 4.0 * eps * eps
+
+    def df(n):
+        shifted = delta + kc * n
+        return 4.0 * shifted * shifted + kappa * kappa + 8.0 * n * shifted * kc
+
+    upper = 8.0 * eps * eps / (kappa * kappa)
+    while f(upper) <= 0.0:
+        upper *= 2.0
+    grid = np.linspace(0.0, upper, 513)
+    lo, hi = 0.0, upper
+    for left, right in zip(grid[:-1], grid[1:]):
+        if f(float(right)) >= 0.0:
+            lo, hi = float(left), float(right)
+            break
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    root = 0.5 * (lo + hi)
+    for _ in range(8):
+        deriv = df(root)
+        if deriv == 0.0:
+            break
+        step = f(root) / deriv
+        candidate = root - step
+        if candidate < 0.0 or not math.isfinite(candidate):
+            break
+        root = candidate
+        if abs(step) < 1e-15 * max(root, 1.0):
+            break
+    return max(root, 0.0)
+
+
+class TestKerrSteadyStateClosedForm:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        qubit=st.sampled_from([1, 2]),
+        chi_source=st.sampled_from(["formula", "measured"]),
+        state=st.sampled_from([0, 1]),
+        log10_kerr=st.floats(-12.0, math.log10(0.5)),
+        kerr_sign=st.sampled_from([-1.0, 1.0]),
+        target=st.floats(0.1, 300.0),
+        drive_scale=st.floats(0.5, 1.5),
+    )
+    def test_matches_scan_and_bisection(
+        self, qubit, chi_source, state, log10_kerr, kerr_sign, target, drive_scale
+    ):
+        device = default_device(qubit).with_(kerr_coeff=kerr_sign * 10.0**log10_kerr)
+        eps = drive_scale * ring_up_segment(device, state, target, 100.0, chi_source=chi_source).amplitude
+        got = kerr_steady_state(device, state, eps, chi_source)
+        want = scan_bisect_root(device, state, eps, chi_source)
+        assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("state, kerr", [(0, -0.05), (1, 0.05)])
+    def test_lowest_root_just_below_the_fold(self, device, state, kerr):
+        # Drive 1e-9 below the upper end of the low branch (measured shifts
+        # put qubit 1 in the bistable range): the two lowest roots of the
+        # cubic nearly coincide, and the steady state is the lower of them,
+        # not the far high-photon branch.
+        chi_source = "measured"
+        kerr_dev = device.with_(kerr_coeff=kerr)
+        delta = (kerr_dev.detuning_r(chi_source) + chi_shift(kerr_dev, state, chi_source)) * MHZ_TO_RAD_NS
+        kappa = kerr_dev.kappa * MHZ_TO_RAD_NS
+        kc = kerr_dev.kerr_coeff * MHZ_TO_RAD_NS
+        # f'(n) = 12 K^2 n^2 + 16 delta K n + 4 delta^2 + kappa^2 = 0 at the fold
+        n_fold = min(np.roots([12.0 * kc * kc, 16.0 * delta * kc, 4.0 * delta * delta + kappa * kappa]).real)
+        eps = 0.5 * math.sqrt((1.0 - 1e-9) * n_fold * (4.0 * (delta + kc * n_fold) ** 2 + kappa**2))
+        roots = np.roots([4.0 * kc * kc, 8.0 * delta * kc, 4.0 * delta * delta + kappa**2, -4.0 * eps * eps])
+        assert np.all(np.abs(roots.imag) < 1e-9 * np.abs(roots))
+        lowest = min(roots.real)
+        n = kerr_steady_state(kerr_dev, state, eps, chi_source)
+        assert n == pytest.approx(lowest, rel=1e-6)
+        assert n < n_fold
+
+
 class TestFitKerrCalibration:
     def synth_points(self, device, volt_to_eps=0.02, kerr_khz=-11.0):
         """(V^2, n) ladder targeting photon numbers below 0.8 n_crit.
@@ -359,6 +469,23 @@ class TestFitKerrCalibration:
         assert result.values["kerr_khz"] == pytest.approx(-11.0, abs=1.0)
         assert result.values["volt_to_eps"] == pytest.approx(0.02, rel=1e-3)
 
+    @pytest.mark.parametrize(
+        "chi_source, kerr_khz", [("formula", -25.0), ("formula", -30.0), ("measured", -30.0)]
+    )
+    def test_recovery_up_to_critical_photon_number(self, device, chi_source, kerr_khz):
+        # ladder up to 0.8 n_crit, near the bistable range; a fit started at
+        # K_c = 0 lands in a wrong minimum on each of these inputs
+        kerr_dev = device.with_(kerr_coeff=kerr_khz * 1e-3)
+        targets = (0.5, 1.0, 2.0, 4.0, 7.0, 10.0, 14.0, 18.0, 22.0)
+        points = []
+        for n in (*targets, 0.8 * critical_photon_number(device)):
+            eps = ring_up_segment(kerr_dev, 0, n, 100.0, chi_source=chi_source).amplitude
+            points.append(((eps / 0.02) ** 2, n))
+        result = fit_kerr_calibration(points, device, 0, chi_source)
+        assert result.converged
+        assert result.values["kerr_khz"] == pytest.approx(kerr_khz, abs=1.0)
+        assert result.values["volt_to_eps"] == pytest.approx(0.02, rel=1e-3)
+
     def test_null_case(self, device):
         result = fit_kerr_calibration(self.synth_points(device, kerr_khz=0.0), device)
         assert abs(result.values["kerr_khz"]) < 0.1
@@ -370,5 +497,11 @@ class TestFitKerrCalibration:
     def test_negative_v2_rejected(self, device):
         pts = self.synth_points(device)
         pts[0] = (-1.0, pts[0][1])
+        with pytest.raises(ConfigError):
+            fit_kerr_calibration(pts, device)
+
+    def test_nan_point_rejected(self, device):
+        pts = self.synth_points(device)
+        pts[3] = (pts[3][0], float("nan"))
         with pytest.raises(ConfigError):
             fit_kerr_calibration(pts, device)

@@ -186,6 +186,12 @@ class TestSamplesCsv:
         with pytest.raises(ConfigError):
             read_samples_csv(path)
 
+    def test_read_rejects_nan(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("t,n\n0.0,1.0\n1.0,nan\n")
+        with pytest.raises(ConfigError):
+            read_samples_csv(path)
+
     def test_read_rejects_empty(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
