@@ -36,7 +36,8 @@ from .core import MHZ_TO_RAD_NS, DeviceParams, QubitState, complex_rate
 from .dynamics import (
     Trajectory,
     _closed_form_end,
-    _rk4,
+    _propagate_ode_shared,
+    _rk4_grid,
     _rk4_tangent,
     _segment_end_alpha,
     final_alpha,
@@ -59,6 +60,12 @@ CONTOUR_LEVEL = 0.1
 
 #: RK4 step for Kerr-model endpoints, ns.
 DESIGN_DT = 0.05
+
+#: Drive cells per tile of a residual map.  The Kerr stepper's nine
+#: buffers then take about 2 MB, one core's L2 cache on a 2-vCPU Xeon,
+#: where a 201x200 Kerr map runs as fast in 4k-cell tiles and about 20 %
+#: slower in one piece.
+_GRID_TILE = 16384
 
 #: Photons at or below which a one-state Kerr design has found its zero;
 #: found zeros sit at <= 1e-26 photons, stalled ones at >= 0.01.
@@ -514,12 +521,13 @@ def residual_map(
     """|alpha_j(dtau)|^2 over the Cartesian (amplitude, phase) grid.
 
     Each cell is the end field of the (readout, reset) schedule, computed
-    by the same code as the single-schedule paths: the linear model applies
-    the closed-form segment map of `final_alpha` to the whole drive grid at
-    once, and with a Kerr term the RK4 stepper of `ode_final_alpha` runs at
-    DESIGN_DT on the grid (the readout endpoint is shared, so only the
-    window varies).  Cells at or below the 0.1-photon level are listed as
-    the contour set.
+    by the same code as the single-schedule paths.  The readout endpoint is
+    shared, so only the window varies: the flattened drive grid goes tile
+    by tile (`_GRID_TILE` cells) through the closed-form segment map of
+    `final_alpha` for the linear model, or with a Kerr term through
+    `dynamics._rk4_grid` at DESIGN_DT, the array form of the stepper of
+    `ode_final_alpha`.  Diverging Kerr cells come out non-finite.  Cells
+    at or below the 0.1-photon level are listed as the contour set.
     """
     j = QubitState(state)
     amps = np.asarray(amp_grid, dtype=float)
@@ -533,23 +541,26 @@ def residual_map(
     if not (math.isfinite(reset_duration) and reset_duration > 0.0):
         raise ConfigError(f"reset_duration must be finite and > 0, got {reset_duration}")
 
-    drive_grid = amps[:, None] * np.exp(1j * phases[None, :])
+    drives = (amps[:, None] * np.exp(1j * phases[None, :])).ravel()
     readout_sched = PulseSchedule(segments=(readout,))
     c = complex_rate(params, j, chi_source).c
     if params.kerr_coeff == 0.0:
         alpha_tau = final_alpha(params, readout_sched, j, chi_source=chi_source)
-        alpha_end = _segment_end_alpha(alpha_tau, c, drive_grid, reset_duration)
+
+        def window_end(tile: np.ndarray) -> np.ndarray:
+            return _segment_end_alpha(alpha_tau, c, tile, reset_duration)
     else:
         alpha_tau = ode_final_alpha(params, readout_sched, j, dt=DESIGN_DT, chi_source=chi_source)
-        alpha_end = _rk4(
-            alpha_tau,
-            [(drive_grid, reset_duration)],
-            0.5 * c,
-            params.kerr_coeff * MHZ_TO_RAD_NS,
-            DESIGN_DT,
-        )
+        kc = params.kerr_coeff * MHZ_TO_RAD_NS
 
-    residual = np.abs(alpha_end) ** 2
+        def window_end(tile: np.ndarray) -> np.ndarray:
+            return _rk4_grid(alpha_tau, tile, reset_duration, 0.5 * c, kc, DESIGN_DT)
+
+    residual = np.empty(drives.size)
+    for start in range(0, drives.size, _GRID_TILE):
+        stop = start + _GRID_TILE
+        residual[start:stop] = np.abs(window_end(drives[start:stop])) ** 2
+    residual = residual.reshape(amps.size, phases.size)
     cells = [(int(i), int(k)) for i, k in zip(*np.nonzero(residual <= CONTOUR_LEVEL))]
     return ResidualMap(
         amplitude_axis=amps,
@@ -720,10 +731,11 @@ def compare_schemes(
     entry reports the end-of-window residual, the peak photon number inside
     the window, and the fitted effective decay rate under the fit-window
     rule of `reset_window_rate`.  Peak and rate come from the trajectory
-    sampled at `sample_dt`; the residual is the design endpoint (exact in
-    the linear model, RK4 at DESIGN_DT with a Kerr term), because a coarse
-    RK4 trajectory through a strong two-segment window can miss it by
-    1e-8 photons.
+    sampled at `sample_dt` (with a Kerr term the three trajectories of a
+    state share one readout integration); the residual is the design
+    endpoint (exact in the linear model, RK4 at DESIGN_DT with a Kerr
+    term), because a coarse RK4 trajectory through a strong two-segment
+    window can miss it by 1e-8 photons.
     """
     targets = _normalize_states(states)
     if reset_duration <= 0.0:
@@ -758,7 +770,17 @@ def compare_schemes(
                 raise ConfigError(
                     f"{scheme} schedule spans {sched.total_duration} ns, expected {total}"
                 )
-            traj = propagate(params, sched, j, sample_dt=sample_dt, chi_source=chi_source)
+        if linear:
+            trajectories = [
+                propagate(params, sched, j, sample_dt=sample_dt, chi_source=chi_source)
+                for sched in schedules.values()
+            ]
+        else:
+            trajectories = _propagate_ode_shared(
+                params, list(schedules.values()), j, sample_dt, chi_source=chi_source
+            )
+
+        for (scheme, sched), traj in zip(schedules.items(), trajectories):
             window = (traj.times >= tau - 1e-12)
             peak = float(np.max(traj.photon[window]))
             if linear:

@@ -15,12 +15,16 @@ exact solution
 
 evaluated in one place, `_segment_end_alpha`, which `final_alpha`,
 `propagate_closed_form` and the linear residual maps of `design` share.
-With a Kerr term the equation is nonlinear and one fixed-step RK4 stepper,
-`_rk4`, integrates it: on a Python complex for single trajectories
-(`propagate_ode`, `ode_final_alpha`) and on a numpy grid for the Kerr
-residual maps, all with the same step rule.  `_rk4_tangent` is the same
-stepper run together with its derivative along two real drive unknowns;
-the Kerr reset design takes its residuals and their exact Jacobian from it.
+With a Kerr term the equation is nonlinear and fixed-step RK4 integrates
+it, always with the step rule of `_rk4_steps`.  `_rk4` steps one Python
+complex trajectory (`propagate_ode`, `ode_final_alpha`).  `_rk4_grid` runs
+the same operations in the same order on a numpy array of drives, one
+trajectory per cell of a Kerr residual map, in buffers it allocates once.
+numpy's vectorized complex multiply may fuse a multiply-add, so a grid
+cell agrees with `_rk4` on its drive to rounding, not to the bit.
+`_rk4_tangent` is `_rk4` run together with its derivative along two real
+drive unknowns; the Kerr reset design takes its residuals and their exact
+Jacobian from it.
 """
 
 from __future__ import annotations
@@ -132,10 +136,8 @@ def _rk4_steps(duration: float, dt: float) -> tuple[int, float]:
 def _rk4(alpha0, segments, half_c: complex, kc: float, dt: float, samples: list | None = None):
     """Fixed-step RK4 through (drive, duration) segments; returns the endpoint.
 
-    The arithmetic is duck-typed: alpha0 and the drives are Python complex
-    numbers for one trajectory (numpy scalar overhead is ~20x worse for this
-    scalar recurrence), or the drives are a numpy array for one trajectory
-    per grid cell, with alpha0 broadcast.
+    alpha0 and the drives are Python complex numbers (numpy scalar overhead
+    is ~20x worse for this scalar recurrence); `_rk4_grid` is the array form.
     Each segment takes `_rk4_steps(duration, dt)`, so drive switches land on
     step boundaries.  If `samples` is a list, the field after every step is
     appended to it.  The right-hand side is written out in each stage (a
@@ -170,6 +172,70 @@ def _rk4(alpha0, segments, half_c: complex, kc: float, dt: float, samples: list 
                 a = a + sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 if samples is not None:
                     samples.append(a)
+    return a
+
+
+def _rk4_grid(
+    alpha0: complex, drives: np.ndarray, duration: float, half_c: complex, kc: float, dt: float
+) -> np.ndarray:
+    """Kerr `_rk4` over one constant-drive segment for each of `drives`.
+
+    Every cell starts from the Python complex alpha0.  The stages are the
+    operations of `_rk4`'s Kerr loop in the same order and with the same
+    operand types (`x.real * x.real + x.imag * x.imag`, the complex
+    `ikc * nx`, `k1 + 2 k2 + 2 k3 + k4` left to right), written into nine
+    buffers of the size of `drives`; the result does not depend on how a
+    grid is split into calls.  The first stage of the first step sees the
+    scalar alpha0 and, as in `_rk4`, takes its alpha0 terms in Python
+    complex arithmetic.  Cells that diverge come out non-finite; nothing
+    is raised.
+
+    Raises:
+        ConfigError: dt is not finite and > 0.
+    """
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ConfigError(f"dt must be finite and > 0, got {dt}")
+    a0 = complex(alpha0)
+    n, h = _rk4_steps(duration, dt)
+    half_h, sixth_h = 0.5 * h, h / 6.0
+    ikc = 1j * kc
+    drive_term = np.multiply(-1j, drives)
+    a, x, k, acc, tmp, kerr = (np.empty_like(drive_term) for _ in range(6))
+    nx, sq = np.empty(drives.shape), np.empty(drives.shape)
+
+    # Each sum or difference of two arrays writes over one of its operands:
+    # numpy's complex add and subtract into a third array take about 2.5x
+    # as long.  Which buffer receives a result does not change its bits.
+    def rhs(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # drive_term - half_c * x - ikc * (x.real * x.real + x.imag * x.imag) * x
+        np.multiply(half_c, x, out=out)
+        np.subtract(drive_term, out, out=out)
+        np.multiply(x.real, x.real, out=nx)
+        np.multiply(x.imag, x.imag, out=sq)
+        np.add(nx, sq, out=nx)
+        np.multiply(ikc, nx, out=kerr)
+        np.multiply(kerr, x, out=kerr)
+        return np.subtract(out, kerr, out=out)
+
+    def stage_point(start, step: float, slope: np.ndarray) -> np.ndarray:
+        np.multiply(step, slope, out=x)
+        return np.add(start, x, out=x)
+
+    for i in range(n):
+        # acc collects k1 + 2 k2 + 2 k3 + k4, left to right
+        if i:
+            rhs(a, acc)
+            start = a
+        else:
+            np.subtract(drive_term, half_c * a0, out=acc)
+            np.subtract(acc, ikc * (a0.real * a0.real + a0.imag * a0.imag) * a0, out=acc)
+            start = a0
+        rhs(stage_point(start, half_h, acc), k)
+        np.add(acc, np.multiply(2.0, k, out=tmp), out=acc)
+        rhs(stage_point(start, half_h, k), k)
+        np.add(acc, np.multiply(2.0, k, out=tmp), out=acc)
+        np.add(acc, rhs(stage_point(start, h, k), k), out=acc)
+        np.add(start, np.multiply(sixth_h, acc, out=acc), out=a)
     return a
 
 
@@ -314,30 +380,65 @@ def propagate_ode(
         StepTooLarge: dt does not give at least 10 steps in every segment.
         NonFinite: the integration blew up (diverging Kerr trajectory).
     """
-    shortest = schedule.min_segment_duration
-    if dt > shortest / _MIN_STEPS_PER_SEGMENT:
-        raise StepTooLarge(
-            f"dt = {dt} ns too coarse for a {shortest} ns segment; "
-            f"need dt <= {shortest / _MIN_STEPS_PER_SEGMENT}"
-        )
-    c = complex_rate(params, state, chi_source).c
-    kc = params.kerr_coeff * MHZ_TO_RAD_NS
-    values = [complex(alpha0)]
-    segments = [(seg.complex_amplitude, seg.duration) for seg in schedule]
-    _rk4(values[0], segments, 0.5 * c, kc, dt, values)
+    return _propagate_ode_shared(params, (schedule,), state, dt, alpha0, chi_source)[0]
 
-    times = [np.zeros(1)]
-    t = 0.0
-    for _, duration in segments:
-        n, h = _rk4_steps(duration, dt)
-        times.append(t + np.arange(1, n + 1) * h)
-        t += duration
-    times = np.concatenate(times)
-    alpha = np.array(values, dtype=complex)
-    diverged = ~np.isfinite(alpha)
-    if diverged.any():
-        raise NonFinite(f"cavity amplitude diverged at t = {times[diverged.argmax()]} ns")
-    return Trajectory(times=times, alpha=alpha, qubit_state=QubitState(state), label=schedule.label)
+
+def _propagate_ode_shared(
+    params: DeviceParams,
+    schedules,
+    state: QubitState | int,
+    dt: float,
+    alpha0: complex = 0j,
+    chi_source: str = "formula",
+) -> list[Trajectory]:
+    """`propagate_ode` of schedules that open with the same segment.
+
+    The common first segment is integrated once; each schedule continues
+    `_rk4` from the Python complex field at its end, so every trajectory
+    is bit-identical to `propagate_ode` of its own schedule.
+
+    Raises:
+        ConfigError: dt is not finite and > 0, or the first segments differ.
+        StepTooLarge: dt does not give at least 10 steps in every segment.
+        NonFinite: the integration blew up (diverging Kerr trajectory).
+    """
+    for schedule in schedules:
+        shortest = schedule.min_segment_duration
+        if dt > shortest / _MIN_STEPS_PER_SEGMENT:
+            raise StepTooLarge(
+                f"dt = {dt} ns too coarse for a {shortest} ns segment; "
+                f"need dt <= {shortest / _MIN_STEPS_PER_SEGMENT}"
+            )
+    head = schedules[0].segments[0]
+    if any(schedule.segments[0] != head for schedule in schedules):
+        raise ConfigError("schedules sharing a first segment must open with the same segment")
+    half_c = 0.5 * complex_rate(params, state, chi_source).c
+    kc = params.kerr_coeff * MHZ_TO_RAD_NS
+    head_values = [complex(alpha0)]
+    _rk4(head_values[0], [(head.complex_amplitude, head.duration)], half_c, kc, dt, head_values)
+
+    trajectories = []
+    for schedule in schedules:
+        segments = [(seg.complex_amplitude, seg.duration) for seg in schedule]
+        values = list(head_values)
+        _rk4(values[-1], segments[1:], half_c, kc, dt, values)
+        times = [np.zeros(1)]
+        t = 0.0
+        for _, duration in segments:
+            n, h = _rk4_steps(duration, dt)
+            times.append(t + np.arange(1, n + 1) * h)
+            t += duration
+        times = np.concatenate(times)
+        alpha = np.array(values, dtype=complex)
+        diverged = ~np.isfinite(alpha)
+        if diverged.any():
+            raise NonFinite(f"cavity amplitude diverged at t = {times[diverged.argmax()]} ns")
+        trajectories.append(
+            Trajectory(
+                times=times, alpha=alpha, qubit_state=QubitState(state), label=schedule.label
+            )
+        )
+    return trajectories
 
 
 def ode_final_alpha(

@@ -19,6 +19,7 @@ from cavreset import (
     compare_schemes,
     complex_rate,
     final_alpha,
+    propagate,
     residual_map,
     ring_up_segment,
     scaling_law_check,
@@ -427,6 +428,16 @@ class TestCompare:
             fine = abs(ode_final_alpha(dev, m.schedule, 0, dt=0.005)) ** 2
             assert abs(m.residual_end - fine) <= 1e-9
             assert m.residual_end == abs(ode_final_alpha(dev, m.schedule, 0, dt=DESIGN_DT)) ** 2
+
+    def test_kerr_trajectories_equal_propagate(self, device, readout):
+        # the three schemes share one readout integration per state
+        dev = device.with_(kerr_coeff=-0.3)
+        comp = compare_schemes(dev, (0, 1), readout, RESET)
+        assert len(comp.entries) == 6
+        for (_, j), m in comp.entries.items():
+            full = propagate(dev, m.schedule, j, sample_dt=0.1)
+            assert np.array_equal(m.trajectory.times, full.times)
+            assert np.array_equal(m.trajectory.alpha, full.alpha)
 
     def test_linear_residual_end_is_the_exact_endpoint(self, device, readout):
         comp = compare_schemes(device, (0, 1), readout, RESET)

@@ -363,6 +363,92 @@ class TestInlineRk4:
         assert np.array_equal(grid.residual, expected)
 
 
+class TestGridTiles:
+    """Residual maps go tile by tile through the drive grid; no bit depends on the tiling."""
+
+    readout = DriveSegment(0.03, 0.4, 200.0)
+
+    def _axes(self, na, nphi, amp_max=0.08):
+        return np.linspace(0.0, amp_max, na), np.linspace(0.0, 2.0 * math.pi, nphi, endpoint=False)
+
+    def _untiled(self, dev, state, window, amps, phases):
+        """The whole-grid array forms: closed form, or `_closure_rk4` at DESIGN_DT."""
+        from cavreset.design import DESIGN_DT
+        from cavreset.dynamics import _segment_end_alpha
+
+        c = complex_rate(dev, state).c
+        drives = amps[:, None] * np.exp(1j * phases[None, :])
+        if dev.kerr_coeff == 0.0:
+            alpha_tau = final_alpha(dev, PulseSchedule((self.readout,)), state)
+            end = _segment_end_alpha(alpha_tau, c, drives, window)
+        else:
+            kc = dev.kerr_coeff * MHZ_TO_RAD_NS
+            readout = _segments(PulseSchedule((self.readout,)))
+            alpha_tau = _closure_rk4(0j, readout, 0.5 * c, kc, DESIGN_DT)
+            end = _closure_rk4(alpha_tau, [(drives, window)], 0.5 * c, kc, DESIGN_DT)
+        return np.abs(end) ** 2
+
+    @staticmethod
+    def _same_bits(a, b):
+        return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    @pytest.mark.parametrize("kerr", [0.0, -0.2])
+    def test_full_and_partial_tiles(self, device, monkeypatch, kerr):
+        from cavreset import design
+
+        monkeypatch.setattr(design, "_GRID_TILE", 5)  # 42 cells: 8 full tiles and one of 2
+        dev = device.with_(kerr_coeff=kerr)
+        amps, phases = self._axes(7, 6)
+        rmap = design.residual_map(dev, 1, self.readout, 20.0, amps, phases)
+        assert self._same_bits(rmap.residual, self._untiled(dev, 1, 20.0, amps, phases))
+        for i, eps in enumerate(amps):
+            for j, phi in enumerate(phases):
+                sched = PulseSchedule((self.readout, DriveSegment(eps, phi, 20.0)))
+                if kerr == 0.0:
+                    direct = abs(final_alpha(dev, sched, 1)) ** 2
+                else:
+                    direct = abs(ode_final_alpha(dev, sched, 1, dt=design.DESIGN_DT)) ** 2
+                assert rmap.residual[i, j] == pytest.approx(direct, rel=1e-12, abs=1e-20)
+
+    @pytest.mark.parametrize("kerr", [0.0, -0.2])
+    def test_grid_crossing_one_tile(self, device, kerr):
+        from cavreset.design import _GRID_TILE, residual_map
+
+        amps, phases = self._axes(129, 128)
+        assert 128 * 128 == _GRID_TILE < amps.size * phases.size
+        dev = device.with_(kerr_coeff=kerr)
+        rmap = residual_map(dev, 0, self.readout, 0.5, amps, phases)  # 10 RK4 steps
+        assert self._same_bits(rmap.residual, self._untiled(dev, 0, 0.5, amps, phases))
+
+    @pytest.mark.parametrize("kerr", [0.0, -0.2])
+    def test_one_cell(self, device, kerr):
+        from cavreset.design import residual_map
+
+        dev = device.with_(kerr_coeff=kerr)
+        amps, phases = np.array([0.05]), np.array([1.1])
+        rmap = residual_map(dev, 0, self.readout, 20.0, amps, phases)
+        assert self._same_bits(rmap.residual, self._untiled(dev, 0, 20.0, amps, phases))
+
+    def test_diverging_cells_stay_non_finite(self, device):
+        from cavreset.design import residual_map
+
+        dev = device.with_(kerr_coeff=0.5)
+        amps, phases = np.array([0.0, 0.05, 500.0, 5000.0]), np.array([0.0, 2.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            rmap = residual_map(dev, 0, self.readout, 20.0, amps, phases)
+            expected = self._untiled(dev, 0, 20.0, amps, phases)
+        finite = np.isfinite(rmap.residual)
+        assert finite.any() and not finite.all()
+        assert np.array_equal(rmap.residual, expected, equal_nan=True)
+
+    @pytest.mark.parametrize("dt", [math.nan, 0.0])
+    def test_invalid_dt_is_config_error(self, device, dt):
+        from cavreset.dynamics import _rk4_grid
+
+        with pytest.raises(ConfigError):
+            _rk4_grid(0j, np.full(3, 0.01 + 0j), 10.0, 0.5 * complex_rate(device, 0).c, -0.01, dt)
+
+
 class TestRk4Tangent:
     """The sensitivity pass: `_rk4` plus the exact derivative of its map."""
 
