@@ -48,6 +48,7 @@ from .errors import (
     ScenarioFailed,
 )
 from .fitting import (
+    RamseyModel,
     exp_decay_fit,
     fit_backaction,
     fit_kerr_calibration,
@@ -196,6 +197,10 @@ def cmd_design(config: CliConfig, args: argparse.Namespace) -> int:
 
 def cmd_map(config: CliConfig, args: argparse.Namespace) -> int:
     readout = _segment_from_spec(_json_spec(args.readout), "readout")
+    if args.amp_points < 1 or args.phase_points < 1:
+        raise ConfigError(
+            f"grid sizes must be >= 1, got {args.amp_points} x {args.phase_points} points"
+        )
     amp_grid = np.linspace(args.amp_min, args.amp_max, args.amp_points)
     phase_grid = np.linspace(0.0, 2.0 * math.pi, args.phase_points, endpoint=False)
     rmap = residual_map(
@@ -248,14 +253,11 @@ def cmd_fit(config: CliConfig, args: argparse.Namespace) -> int:
     rows = read_samples_csv(args.data)
     device = config.device
     if args.fit_kind == "ramsey":
-        pull_mhz = 0.5 * (
-            chi_shift(device, QubitState.EXCITED, config.chi_source)
-            - chi_shift(device, QubitState.GROUND, config.chi_source)
-        )
+        model = RamseyModel.from_device(device, config.chi_source)
         fixed = {
-            "gamma2": 1.0 / device.t2_echo if args.gamma2 is None else args.gamma2,
-            "chi": pull_mhz * 2.0 * math.pi if args.chi is None else args.chi,
-            "kappa": device.kappa * 2.0 * math.pi if args.kappa is None else args.kappa,
+            "gamma2": model.gamma2 if args.gamma2 is None else args.gamma2,
+            "chi": model.chi if args.chi is None else args.chi,
+            "kappa": model.kappa if args.kappa is None else args.kappa,
         }
         init = {"fringe": args.fringe_init, "phi0": args.phi0_init, "n0": args.n0_init}
         result = fit_ramsey([(r[0], r[1]) for r in rows], fixed, init)
@@ -281,8 +283,8 @@ def cmd_calibrate(config: CliConfig, args: argparse.Namespace) -> int:
             device.dressed_freq_0 is None or device.dispersive_shift_01 is None
         ):
             continue
-        c0 = complex_rate(device, QubitState.GROUND, source).c
-        c1 = complex_rate(device, QubitState.EXCITED, source).c
+        c0 = complex_rate(device, QubitState.GROUND, source)
+        c1 = complex_rate(device, QubitState.EXCITED, source)
         payload[source] = {
             "chi_0_mhz": chi_shift(device, QubitState.GROUND, source),
             "chi_1_mhz": chi_shift(device, QubitState.EXCITED, source),

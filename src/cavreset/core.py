@@ -37,9 +37,6 @@ TWO_PI = 2.0 * math.pi
 #: Ordinary frequency in MHz -> angular rate in rad/ns.
 MHZ_TO_RAD_NS = TWO_PI * 1e-3
 
-#: Ordinary frequency in MHz -> angular rate in rad/us.
-MHZ_TO_RAD_US = TWO_PI
-
 #: Denominators smaller than this (MHz) count as degenerate.
 DEGENERACY_TOL_MHZ = 1e-9
 
@@ -119,10 +116,6 @@ class DeviceParams:
         """Delta = omega_q - omega_bare, MHz."""
         return self.qubit_freq - self.bare_cavity_freq
 
-    def chi(self, state: QubitState | int, source: str = "formula") -> float:
-        """Dispersive shift chi_j in MHz for the given qubit state."""
-        return chi_shift(self, state, source)
-
     def drive_frequency(self, source: str = "formula") -> float:
         """Cavity drive frequency in MHz.
 
@@ -131,8 +124,8 @@ class DeviceParams:
         """
         if self.drive_freq is not None:
             return self.drive_freq
-        chi0 = self.chi(QubitState.GROUND, source)
-        chi1 = self.chi(QubitState.EXCITED, source)
+        chi0 = chi_shift(self, QubitState.GROUND, source)
+        chi1 = chi_shift(self, QubitState.EXCITED, source)
         return self.bare_cavity_freq + 0.5 * (chi0 + chi1)
 
     def detuning_r(self, source: str = "formula") -> float:
@@ -171,28 +164,6 @@ class DeviceParams:
     def with_(self, **changes) -> "DeviceParams":
         """Functional update, e.g. ``params.with_(kerr_coeff=-0.011)``."""
         return replace(self, **changes)
-
-
-@dataclass(frozen=True)
-class ComplexRate:
-    """Per-state complex cavity rate C_j = 2i*Delta_r + kappa + 2i*chi_j.
-
-    Stored in angular units, rad/ns.  The real part is the energy decay
-    rate kappa; half the imaginary part is the net drive detuning
-    delta_j = Delta_r + chi_j seen by the rotating cavity field.
-    """
-
-    c: complex
-
-    @property
-    def decay(self) -> float:
-        """kappa in rad/ns."""
-        return self.c.real
-
-    @property
-    def net_detuning(self) -> float:
-        """delta_j = Delta_r + chi_j in rad/ns."""
-        return self.c.imag / 2.0
 
 
 def _require_state(state: QubitState | int) -> QubitState:
@@ -247,13 +218,17 @@ def chi_shift(params: DeviceParams, state: QubitState | int, source: str = "form
 
 def complex_rate(
     params: DeviceParams, state: QubitState | int, source: str = "formula"
-) -> ComplexRate:
-    """Complex rate C_j = 2i*Delta_r + kappa + 2i*chi_j in rad/ns."""
+) -> complex:
+    """Complex rate C_j = 2i*Delta_r + kappa + 2i*chi_j in rad/ns.
+
+    The real part is the energy decay rate kappa; half the imaginary part
+    is the net drive detuning delta_j = Delta_r + chi_j seen by the
+    rotating cavity field.
+    """
     j = _require_state(state)
     chi = chi_shift(params, j, source)
     delta_r = params.detuning_r(source)
-    c = (params.kappa + 2j * (delta_r + chi)) * MHZ_TO_RAD_NS
-    return ComplexRate(c)
+    return (params.kappa + 2j * (delta_r + chi)) * MHZ_TO_RAD_NS
 
 
 def critical_photon_number(params: DeviceParams) -> float:

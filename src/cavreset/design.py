@@ -44,13 +44,7 @@ from .dynamics import (
     ode_final_alpha,
     propagate,
 )
-from .errors import (
-    AmplitudeCapExceeded,
-    ConfigError,
-    DegenerateDuration,
-    KerrNotSupported,
-    NotConverged,
-)
+from .errors import ConfigError, DegenerateDuration, KerrNotSupported, NotConverged
 from .fitting import FitResult, exp_decay_fit
 from .optimize import levenberg_marquardt
 from .pulses import DriveSegment, PulseSchedule, SchemeLabel
@@ -96,8 +90,8 @@ def _resolve_weights(
     missing = [j for j in targets if j not in w]
     if missing:
         raise ConfigError(f"missing weight for state(s) {missing}")
-    if any(v < 0.0 for v in w.values()):
-        raise ConfigError("weights must be >= 0")
+    if not all(math.isfinite(v) and v >= 0.0 for v in w.values()):
+        raise ConfigError("weights must be finite and >= 0")
     if all(w[j] == 0.0 for j in targets):
         raise ConfigError("at least one weight must be positive")
     return w
@@ -216,7 +210,7 @@ def _least_squares_drive(
     if params.kerr_coeff == 0.0:
         rows, rhs = [], []
         for j in targets:
-            c = complex_rate(params, j, chi_source).c
+            c = complex_rate(params, j, chi_source)
             free = _closed_form_end(ends[j], c, reset(np.zeros(2)))
             cols = [_closed_form_end(0j, c, reset(e)) for e in np.eye(2)]
             rows += [[scale[j] * b.real for b in cols], [scale[j] * b.imag for b in cols]]
@@ -230,7 +224,7 @@ def _least_squares_drive(
         start, _, _ = _least_squares_drive(
             linear, targets, weights, readout, reset, linear_ends, chi_source
         )
-    half_c = {j: 0.5 * complex_rate(params, j, chi_source).c for j in targets}
+    half_c = {j: 0.5 * complex_rate(params, j, chi_source) for j in targets}
     kc = params.kerr_coeff * MHZ_TO_RAD_NS
     # reset is linear in x, so reset(e_k) holds d drive / d x_k per segment
     units = [reset(e).segments for e in np.eye(2)]
@@ -327,7 +321,7 @@ def _require_analytic(
         raise KerrNotSupported("analytic reset solution requires kerr_coeff = 0")
     if reset_duration <= 0.0:
         raise ConfigError(f"reset_duration must be > 0, got {reset_duration}")
-    c = complex_rate(params, state, chi_source).c
+    c = complex_rate(params, state, chi_source)
     if abs(1.0 - np.exp(0.5 * c * reset_duration)) < 1e-12:
         raise DegenerateDuration(
             f"reset window {reset_duration} ns is degenerate for C = {c}"
@@ -365,7 +359,6 @@ def sspe_optimize(
     reset_duration: float,
     weights: Mapping[QubitState | int, float] | None = None,
     chi_source: str = "formula",
-    max_amplitude: float | None = None,
     seed: tuple[float, float] | None = None,
 ) -> ResetSolution:
     """Minimize the weighted end-of-window photon number over (eps_r, phi_r).
@@ -381,9 +374,6 @@ def sspe_optimize(
     readout end.  A result whose polish did not converge, or a one-state
     Kerr result still above 1e-12 photons, comes back with the flag down
     (use `require_converged` to make it fatal).
-
-    Raises:
-        AmplitudeCapExceeded: optimum violates max_amplitude.
     """
     targets = _normalize_states(states)
     if reset_duration <= 0.0:
@@ -391,14 +381,9 @@ def sspe_optimize(
     w = _resolve_weights(targets, weights)
     start = None if seed is None else [seed[0] * math.cos(seed[1]), seed[0] * math.sin(seed[1])]
     ends = _readout_ends(params, readout, QubitState, chi_source)
-    sol = _sspe_solution(
+    return _sspe_solution(
         params, targets, w, readout, reset_duration, chi_source, "numeric", ends, start
     )
-    if max_amplitude is not None and sol.reset_amplitude > max_amplitude:
-        raise AmplitudeCapExceeded(
-            f"optimal reset amplitude {sol.reset_amplitude:.6g} rad/ns exceeds cap {max_amplitude}"
-        )
-    return sol
 
 
 def _clear_schedule(
@@ -543,7 +528,7 @@ def residual_map(
 
     drives = (amps[:, None] * np.exp(1j * phases[None, :])).ravel()
     readout_sched = PulseSchedule(segments=(readout,))
-    c = complex_rate(params, j, chi_source).c
+    c = complex_rate(params, j, chi_source)
     if params.kerr_coeff == 0.0:
         alpha_tau = final_alpha(params, readout_sched, j, chi_source=chi_source)
 

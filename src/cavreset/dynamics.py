@@ -92,28 +92,15 @@ class Trajectory:
                 )
 
 
-def read_trajectory_csv(path: str | Path, qubit_state: QubitState | int = 0) -> Trajectory:
-    data = np.genfromtxt(path, delimiter=",", names=True, ndmin=1)
-    alpha = data["re_alpha"] + 1j * data["im_alpha"]
-    return Trajectory(times=data["t_ns"], alpha=alpha, qubit_state=QubitState(qubit_state))
-
-
 def photon_number(traj: Trajectory, t: float) -> float:
     """Photon number at time t, interpolating alpha linearly in between samples."""
-    if t < traj.times[0] or t > traj.times[-1]:
+    if not traj.times[0] <= t <= traj.times[-1]:
         raise OutOfRange(
             f"time {t} outside trajectory span [{traj.times[0]}, {traj.times[-1]}]"
         )
     re = np.interp(t, traj.times, traj.alpha.real)
     im = np.interp(t, traj.times, traj.alpha.imag)
     return float(re * re + im * im)
-
-
-def steady_state_alpha(c: complex, drive: complex) -> complex:
-    """Fixed point -2i eps~ / C of one linear segment."""
-    if abs(c) < _C_TINY:
-        raise ConfigError("steady state undefined for C = 0")
-    return -2j * drive / c
 
 
 def _segment_end_alpha(alpha0, c: complex, drive, duration):
@@ -308,7 +295,7 @@ def final_alpha(
     chi_source: str = "formula",
 ) -> complex:
     """Exact endpoint of the linear model after the whole schedule."""
-    return _closed_form_end(alpha0, complex_rate(params, state, chi_source).c, schedule)
+    return _closed_form_end(alpha0, complex_rate(params, state, chi_source), schedule)
 
 
 def _closed_form_end(alpha0: complex, c: complex, schedule: PulseSchedule) -> complex:
@@ -339,7 +326,7 @@ def propagate_closed_form(
         raise KerrNotSupported("closed form only covers the linear model; use propagate_ode")
     if not sample_dt > 0.0:
         raise ConfigError(f"sample_dt must be > 0, got {sample_dt}")
-    c = complex_rate(params, state, chi_source).c
+    c = complex_rate(params, state, chi_source)
 
     times = [np.array([0.0])]
     alphas = [np.array([alpha0], dtype=complex)]
@@ -412,7 +399,7 @@ def _propagate_ode_shared(
     head = schedules[0].segments[0]
     if any(schedule.segments[0] != head for schedule in schedules):
         raise ConfigError("schedules sharing a first segment must open with the same segment")
-    half_c = 0.5 * complex_rate(params, state, chi_source).c
+    half_c = 0.5 * complex_rate(params, state, chi_source)
     kc = params.kerr_coeff * MHZ_TO_RAD_NS
     head_values = [complex(alpha0)]
     _rk4(head_values[0], [(head.complex_amplitude, head.duration)], half_c, kc, dt, head_values)
@@ -459,7 +446,7 @@ def ode_final_alpha(
         ConfigError: dt is not finite and > 0.
         NonFinite: the integration blew up (diverging Kerr trajectory).
     """
-    half_c = 0.5 * complex_rate(params, state, chi_source).c
+    half_c = 0.5 * complex_rate(params, state, chi_source)
     kc = params.kerr_coeff * MHZ_TO_RAD_NS
     segments = [(seg.complex_amplitude, seg.duration) for seg in schedule]
     a = _rk4(complex(alpha0), segments, half_c, kc, dt)
@@ -476,25 +463,18 @@ def propagate(
     alpha0: complex = 0j,
     chi_source: str = "formula",
     force_ode: bool = False,
-    ode_dt: float | None = None,
 ) -> Trajectory:
     """Propagate one qubit state, picking the exact route when it applies.
 
     The closed form is used for the linear model; any nonzero Kerr
-    coefficient (or force_ode=True) switches to RK4 with step ode_dt
-    (defaulting to sample_dt).
+    coefficient (or force_ode=True) switches to RK4 with step sample_dt.
     """
     if params.kerr_coeff == 0.0 and not force_ode:
         return propagate_closed_form(
             params, schedule, state, sample_dt=sample_dt, alpha0=alpha0, chi_source=chi_source
         )
     return propagate_ode(
-        params,
-        schedule,
-        state,
-        dt=sample_dt if ode_dt is None else ode_dt,
-        alpha0=alpha0,
-        chi_source=chi_source,
+        params, schedule, state, dt=sample_dt, alpha0=alpha0, chi_source=chi_source
     )
 
 
@@ -518,7 +498,7 @@ def ring_up_segment(
     """
     if target_photons < 0.0:
         raise ConfigError(f"target photon number must be >= 0, got {target_photons}")
-    c = complex_rate(params, state, chi_source).c
+    c = complex_rate(params, state, chi_source)
     if abs(c) < _C_TINY:
         raise ConfigError("steady-state targeting undefined for C = 0")
     shifted = 0.5 * c.imag + params.kerr_coeff * MHZ_TO_RAD_NS * target_photons

@@ -63,10 +63,6 @@ class DegenerateRates(NumericError):
     """Backaction model with gamma_out + gamma_back = 0 has no steady state."""
 
 
-class AmplitudeCapExceeded(NumericError):
-    """Optimal reset amplitude violates the configured hardware cap."""
-
-
 class NotConverged(CavityResetError):
     """An optimizer or fit stopped without meeting its tolerance."""
 

@@ -24,7 +24,7 @@ spectroscopy frequencies in ordinary MHz.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -51,15 +51,31 @@ class FitResult:
     covariance_diag: dict[str, float] | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "values": dict(self.values),
-            "residual_norm": self.residual_norm,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "covariance_diag": None
-            if self.covariance_diag is None
-            else dict(self.covariance_diag),
+        return asdict(self)
+
+
+def _lm_fit(
+    lm: LMResult, values: dict[str, float], jacobian_sq: Mapping[str, float] | None = None
+) -> FitResult:
+    """FitResult of one LM run whose parameters map to `values`, in order.
+
+    The covariance diagonal unfolds reparameterizations: the entry of each
+    name in `jacobian_sq` is scaled by that squared derivative.
+    """
+    cov = lm.covariance()
+    diag = None
+    if cov is not None:
+        scale = jacobian_sq or {}
+        diag = {
+            name: float(var * scale.get(name, 1.0)) for name, var in zip(values, np.diag(cov))
         }
+    return FitResult(
+        values=values,
+        residual_norm=float(np.sum(lm.residuals**2)),
+        converged=lm.success,
+        iterations=lm.nfev,
+        covariance_diag=diag,
+    )
 
 
 def _finite_samples(
@@ -195,29 +211,7 @@ def fit_ramsey(
     lm = levenberg_marquardt(residuals, [fringe0, phi0_0, math.sqrt(n0_0)])
     u = float(lm.params[2])
     values = {"fringe": float(lm.params[0]), "phi0": float(lm.params[1]), "n0": u * u}
-    cov = _named_covariance(lm, ("fringe", "phi0", "n0"), {"n0": (2.0 * u) ** 2})
-    return FitResult(
-        values=values,
-        residual_norm=float(np.sum(lm.residuals**2)),
-        converged=lm.success,
-        iterations=lm.nfev,
-        covariance_diag=cov,
-    )
-
-
-def _named_covariance(
-    lm: LMResult, names: Sequence[str], jacobian_sq: Mapping[str, float] | None = None
-) -> dict[str, float] | None:
-    """Diagonal of the parameter covariance, reparameterizations unfolded."""
-    cov = lm.covariance()
-    if cov is None:
-        return None
-    diag = np.diag(cov)
-    out = {}
-    for k, name in enumerate(names):
-        scale = 1.0 if jacobian_sq is None else jacobian_sq.get(name, 1.0)
-        out[name] = float(diag[k] * scale)
-    return out
+    return _lm_fit(lm, values, {"n0": (2.0 * u) ** 2})
 
 
 # -- exponential decay ---------------------------------------------------------
@@ -423,17 +417,8 @@ def fit_backaction(samples: Sequence[tuple[float, float]]) -> FitResult:
     go = _sigmoid(float(lm.params[0]))
     gb = _sigmoid(float(lm.params[1]))
     values = {"gamma_out": go, "gamma_back": gb, "p0": float(lm.params[2])}
-    cov = _named_covariance(
-        lm,
-        ("gamma_out", "gamma_back", "p0"),
-        {"gamma_out": (go * (1.0 - go)) ** 2, "gamma_back": (gb * (1.0 - gb)) ** 2},
-    )
-    return FitResult(
-        values=values,
-        residual_norm=float(np.sum(lm.residuals**2)),
-        converged=lm.success,
-        iterations=lm.nfev,
-        covariance_diag=cov,
+    return _lm_fit(
+        lm, values, {"gamma_out": (go * (1.0 - go)) ** 2, "gamma_back": (gb * (1.0 - gb)) ** 2}
     )
 
 
@@ -461,7 +446,7 @@ def kerr_steady_state(
     eps = float(drive_amp)
     if eps < 0.0:
         raise ConfigError(f"drive amplitude must be >= 0, got {drive_amp}")
-    c = complex_rate(params, state, chi_source).c
+    c = complex_rate(params, state, chi_source)
     if eps == 0.0:
         return 0.0
     delta, kappa = 0.5 * c.imag, c.real
@@ -529,7 +514,7 @@ def fit_kerr_calibration(
     if np.any(v2 < 0.0):
         raise ConfigError("squared voltages must be >= 0")
 
-    c = complex_rate(params, state, chi_source).c
+    c = complex_rate(params, state, chi_source)
     delta, kappa = 0.5 * c.imag, c.real
     design = np.column_stack([4.0 * v2, -8.0 * delta * n_meas**2, -4.0 * n_meas**3])
     norms = np.linalg.norm(design, axis=0)
@@ -552,11 +537,6 @@ def fit_kerr_calibration(
     lm = levenberg_marquardt(
         residuals, [math.sqrt(abs(start[0])), start[1] / MHZ_TO_RAD_NS * 1e3]
     )
-    values = {"volt_to_eps": abs(float(lm.params[0])), "kerr_khz": float(lm.params[1])}
-    return FitResult(
-        values=values,
-        residual_norm=float(np.sum(lm.residuals**2)),
-        converged=lm.success,
-        iterations=lm.nfev,
-        covariance_diag=_named_covariance(lm, ("volt_to_eps", "kerr_khz")),
+    return _lm_fit(
+        lm, {"volt_to_eps": abs(float(lm.params[0])), "kerr_khz": float(lm.params[1])}
     )

@@ -12,9 +12,9 @@ amplitude with the phase advanced by pi, so ``amplitude`` is always >= 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import ConfigError
 
@@ -103,33 +103,3 @@ class PulseSchedule:
     @property
     def min_segment_duration(self) -> float:
         return min(s.duration for s in self.segments)
-
-    def boundaries(self) -> list[float]:
-        """Cumulative segment edge times starting at 0.0."""
-        edges = [0.0]
-        for seg in self.segments:
-            edges.append(edges[-1] + seg.duration)
-        return edges
-
-    def segment_at(self, t: float) -> DriveSegment:
-        """Segment active at time t (right-open intervals; last is closed)."""
-        if t < 0.0 or t > self.total_duration:
-            raise ConfigError(f"time {t} outside schedule [0, {self.total_duration}]")
-        edges = self.boundaries()
-        for seg, start, stop in zip(self.segments, edges[:-1], edges[1:]):
-            if t < stop:
-                return seg
-        return self.segments[-1]
-
-    def drive_at(self, t: float) -> complex:
-        return self.segment_at(t).complex_amplitude
-
-    def extended(
-        self, extra: "DriveSegment | Iterable[DriveSegment]", label: str | None = None
-    ) -> "PulseSchedule":
-        if isinstance(extra, DriveSegment):
-            extra = (extra,)
-        return PulseSchedule(
-            segments=self.segments + tuple(extra),
-            label=self.label if label is None else label,
-        )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -90,15 +90,7 @@ class Assertion:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "expected": self.expected,
-            "measured": self.measured,
-            "tolerance": self.tolerance,
-            "kind": self.kind,
-            "passed": self.passed,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -111,14 +103,7 @@ class ScenarioReport:
     notes: dict
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "passed": self.passed,
-            "assertions": [a.to_dict() for a in self.assertions],
-            "files": self.files,
-            "metadata": self.metadata,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
     def failures(self) -> list[Assertion]:
         return [a for a in self.assertions if not a.passed]
@@ -282,26 +267,15 @@ def _fig2_scaling(ctx: _Context) -> None:
 
     # Ramsey round trip: the same fit chain that reads residual photons off
     # hardware, fed by its own forward model.
-    fixed = {
-        "gamma2": 1.0 / params.t2_echo,
-        "chi": ctx.qubit_pull() * 2.0 * math.pi,
-        "kappa": params.kappa * 2.0 * math.pi,
-    }
-    times = np.linspace(0.0, 2.0, 200)
     fringe_true = 2.0 * math.pi
     phi0_true = 0.3
+    base = RamseyModel.from_device(params, ctx.chi_source, fringe=fringe_true, phi0=phi0_true)
+    fixed = {"gamma2": base.gamma2, "chi": base.chi, "kappa": base.kappa}
+    times = np.linspace(0.0, 2.0, 200)
 
     fit_records = {}
     for n0_true in (0.0, 0.5, 2.0):
-        model = RamseyModel(
-            gamma2=fixed["gamma2"],
-            fringe=fringe_true,
-            chi=fixed["chi"],
-            kappa=fixed["kappa"],
-            phi0=phi0_true,
-            n0=n0_true,
-        )
-        data = gen_ramsey_dataset(model, times, NoiseSpec.none())
+        data = gen_ramsey_dataset(replace(base, n0=n0_true), times, NoiseSpec.none())
         result = fit_ramsey(data, fixed, init={"fringe": fringe_true, "phi0": phi0_true})
         n0_hat = result.values["n0"]
         label = f"ramsey_noiseless_n0_{n0_true:g}"
@@ -312,14 +286,7 @@ def _fig2_scaling(ctx: _Context) -> None:
         fit_records[label] = result.to_dict()
 
     n0_noisy = 1.0
-    model = RamseyModel(
-        gamma2=fixed["gamma2"],
-        fringe=fringe_true,
-        chi=fixed["chi"],
-        kappa=fixed["kappa"],
-        phi0=phi0_true,
-        n0=n0_noisy,
-    )
+    model = replace(base, n0=n0_noisy)
     estimates = []
     for trial_seed in derive_seeds(ctx.seed, 100):
         data = gen_ramsey_dataset(model, times, NoiseSpec.gaussian(0.01, trial_seed))

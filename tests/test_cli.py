@@ -162,6 +162,17 @@ class TestMapCompare:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("axis", ["--amp-points", "--phase-points"])
+    @pytest.mark.parametrize("points", ["-1", "0"])
+    def test_map_grid_size_below_one_is_config_error(self, tmp_path, capsys, axis, points):
+        code = run(
+            "map", "--readout", READOUT, "--reset-duration", "50",
+            "--amp-max", "0.06", axis, points, "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert "grid sizes must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "residual_map.csv").exists()
+
     def test_compare_outputs(self, tmp_path):
         code = run(
             "compare", "--readout", READOUT, "--reset-duration", "50",

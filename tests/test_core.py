@@ -79,25 +79,20 @@ class TestChiShift:
 
 class TestComplexRate:
     def test_ground_value(self, device):
-        c = complex_rate(device, 0).c
+        c = complex_rate(device, 0)
         assert c.real == pytest.approx(0.010750530060584273, rel=1e-13)
         assert c.imag == pytest.approx(0.018544721738813462, rel=1e-13)
 
     def test_real_part_is_kappa(self, device):
         for state in (0, 1):
-            c = complex_rate(device, state).c
+            c = complex_rate(device, state)
             assert c.real == pytest.approx(device.kappa * MHZ_TO_RAD_NS, rel=1e-13)
 
     def test_imag_part_is_detuning_plus_chi(self, device):
         for state in (0, 1):
-            c = complex_rate(device, state).c
+            c = complex_rate(device, state)
             expected = 2.0 * (device.detuning_r() + chi_shift(device, state)) * MHZ_TO_RAD_NS
             assert c.imag == pytest.approx(expected, rel=1e-12)
-
-    def test_properties(self, device):
-        rate = complex_rate(device, 0)
-        assert rate.decay == pytest.approx(rate.c.real)
-        assert rate.net_detuning == pytest.approx(rate.c.imag / 2.0)
 
 
 class TestDriveFrequency:

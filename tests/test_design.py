@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from cavreset import (
-    AmplitudeCapExceeded,
     ConfigError,
     DegenerateDuration,
     DriveSegment,
@@ -54,7 +53,7 @@ class TestAnalytic:
 
     def test_matches_transfer_formula(self, device, readout):
         # eps_r e^{i phi_r} = eps_n e^{i phi_n} (1 - e^{-tau C/2}) / (1 - e^{dtau C/2})
-        c = complex_rate(device, 0).c
+        c = complex_rate(device, 0)
         drive = readout.complex_amplitude
         expected = drive * (1.0 - cmath.exp(-0.5 * readout.duration * c)) / (
             1.0 - cmath.exp(0.5 * RESET * c)
@@ -91,7 +90,7 @@ class TestAnalytic:
 
     def test_degenerate_duration_lossless(self, device, readout):
         lossless = device.with_(kappa=0.0)
-        delta = complex_rate(lossless, 0).c.imag / 2.0
+        delta = complex_rate(lossless, 0).imag / 2.0
         with pytest.raises(DegenerateDuration):
             sspe_analytic(lossless, 0, readout, 2.0 * math.pi / abs(delta))
 
@@ -143,9 +142,12 @@ class TestOptimizer:
         skewed = sspe_optimize(device, (0, 1), readout, RESET, weights={0: 10.0, 1: 1.0})
         assert skewed.residual_photons[0] < fair.residual_photons[0]
 
-    def test_amplitude_cap(self, device, readout):
-        with pytest.raises(AmplitudeCapExceeded):
-            sspe_optimize(device, 0, readout, RESET, max_amplitude=0.01)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("design", [sspe_optimize, clear_optimize])
+    def test_non_finite_weight_rejected(self, device, readout, capfd, design, bad):
+        with pytest.raises(ConfigError):
+            design(device, (0, 1), readout, RESET, weights={0: 1.0, 1: bad})
+        assert capfd.readouterr().err == ""
 
     def test_kerr_device_optimizes(self, device, readout):
         kerr_dev = device.with_(kerr_coeff=-0.011)

@@ -62,7 +62,7 @@ def test_linear_joint_drive_is_weighted_closed_form(problem):
     num = 0j
     den = size = 0.0
     for j, w in weights.items():
-        c = complex_rate(device, j, chi).c
+        c = complex_rate(device, j, chi)
         e = cmath.exp(-0.5 * c * dtau)
         b = -2j * (1.0 - e) / c
         term = w * b.conjugate() * final_alpha(device, PulseSchedule((readout,)), j, chi_source=chi) * e
@@ -93,7 +93,7 @@ def test_linear_joint_drive_beats_perturbations(problem, step, angle):
 def test_one_state_solve_is_the_transfer_formula(problem, state):
     """eps_r e^{i phi_r} = eps_n e^{i phi_n} (1 - e^{-tau C/2}) / (1 - e^{dtau C/2})."""
     device, readout, dtau, _, chi = problem
-    c = complex_rate(device, state, chi).c
+    c = complex_rate(device, state, chi)
     expected = (
         readout.complex_amplitude
         * (1.0 - cmath.exp(-0.5 * c * readout.duration))
@@ -104,6 +104,20 @@ def test_one_state_solve_is_the_transfer_formula(problem, state):
     assert abs(drive_of(analytic) - expected) <= 1e-11 * abs(expected)
     assert abs(drive_of(numeric) - drive_of(analytic)) <= 1e-12 * abs(expected)
     assert numeric.residual_photons[state] < 1e-20
+
+
+@settings(max_examples=40, deadline=None)
+@given(problems(), st.sampled_from(STATES), st.floats(0.01, 100.0))
+def test_linear_reset_scales_with_readout(problem, state, beta):
+    """eps_n -> beta eps_n scales the exact reset amplitude by beta; the phase stays."""
+    device, readout, dtau, _, chi = problem
+    scaled = DriveSegment(beta * readout.amplitude, readout.phase, readout.duration)
+    base = sspe_analytic(device, state, readout, dtau, chi)
+    sol = sspe_analytic(device, state, scaled, dtau, chi)
+    expected = beta * base.reset_amplitude
+    assert abs(sol.reset_amplitude - expected) <= 1e-10 * expected
+    dphi = abs(sol.reset_phase - base.reset_phase)
+    assert min(dphi, 2.0 * math.pi - dphi) <= 1e-10
 
 
 @settings(max_examples=20, deadline=None)

@@ -81,28 +81,6 @@ class TestPulseSchedule:
     def test_min_segment_duration(self):
         assert self.make().min_segment_duration == pytest.approx(2.5)
 
-    def test_boundaries(self):
-        assert self.make().boundaries() == pytest.approx([0.0, 10.0, 15.0, 17.5])
-
-    def test_segment_at_right_open(self):
-        sched = self.make()
-        assert sched.segment_at(0.0) is sched.segments[0]
-        assert sched.segment_at(10.0) is sched.segments[1]
-        assert sched.segment_at(15.0 - 1e-12) is sched.segments[1]
-        # the final boundary belongs to the last segment
-        assert sched.segment_at(17.5) is sched.segments[2]
-
-    def test_segment_at_out_of_range(self):
-        sched = self.make()
-        with pytest.raises(ConfigError):
-            sched.segment_at(-0.1)
-        with pytest.raises(ConfigError):
-            sched.segment_at(17.6)
-
-    def test_drive_at(self):
-        sched = self.make()
-        assert sched.drive_at(12.0) == pytest.approx(0.2 * complex(math.cos(1.0), math.sin(1.0)))
-
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
             PulseSchedule(())
@@ -111,10 +89,3 @@ class TestPulseSchedule:
         sched = self.make()
         assert len(sched) == 3
         assert [s.duration for s in sched] == [10.0, 5.0, 2.5]
-
-    def test_extended(self):
-        sched = self.make()
-        longer = sched.extended(DriveSegment(0.05, 0.3, 4.0))
-        assert len(longer) == 4
-        assert longer.total_duration == pytest.approx(21.5)
-        assert longer.label == sched.label

@@ -10,6 +10,7 @@ from cavreset import (
     ConfigError,
     DriveSegment,
     NoiseSpec,
+    OutOfRange,
     PulseSchedule,
     RamseyModel,
     ac_stark_reconstruct,
@@ -159,6 +160,12 @@ class TestSpectroscopy:
         freq_grid = np.arange(0.0, 5.0, 0.1)  # shifted line sits below this window
         with pytest.warns(PeakOutsideGrid):
             gen_spectroscopy(traj, -1.4757, 4.0, freq_grid, delays=[900.0])
+
+    def test_nan_delay_is_out_of_range(self, device):
+        traj = self.make_traj(device)
+        freq_grid = np.arange(-40.0, 10.0, 0.1)
+        with pytest.raises(OutOfRange):
+            gen_spectroscopy(traj, -1.4757, 4.0, freq_grid, delays=[0.0, math.nan])
 
     def test_lorentzian_shape(self, device):
         traj = self.make_traj(device)
