@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._artefacts import write_json
 from ._version import __version__
 from .core import (
     CHI_SOURCES,
@@ -119,11 +120,6 @@ def _schedule_from_spec(text: str) -> PulseSchedule:
     return PulseSchedule(segments=segs, label=SchemeLabel.CUSTOM.value)
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 # -- subcommand handlers -----------------------------------------------------
 
 
@@ -138,10 +134,9 @@ def cmd_simulate(config: CliConfig, args: argparse.Namespace) -> int:
         force_ode=args.force_ode,
     )
     out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / args.name
     traj.write_csv(csv_path)
-    _write_json(
+    write_json(
         out / (csv_path.stem + ".provenance.json"),
         {
             "provenance": config.provenance("simulate"),
@@ -190,7 +185,7 @@ def cmd_design(config: CliConfig, args: argparse.Namespace) -> int:
             ],
         }
     path = config.output_dir / f"design_{args.mode}.json"
-    _write_json(path, payload)
+    write_json(path, payload)
     print(path)
     return 0
 
@@ -213,11 +208,10 @@ def cmd_map(config: CliConfig, args: argparse.Namespace) -> int:
         config.chi_source,
     )
     out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
     rmap.write_csv(out / "residual_map.csv")
     sidecar = rmap.sidecar_dict()
     sidecar["provenance"] = config.provenance("map")
-    _write_json(out / "residual_map.json", sidecar)
+    write_json(out / "residual_map.json", sidecar)
     print(out / "residual_map.csv")
     return 0
 
@@ -234,7 +228,7 @@ def cmd_compare(config: CliConfig, args: argparse.Namespace) -> int:
     summary = comparison.write(config.output_dir)
     summary["provenance"] = config.provenance("compare")
     path = config.output_dir / "comparison.json"
-    _write_json(path, summary)
+    write_json(path, summary)
     print(path)
     return 0
 
@@ -244,7 +238,7 @@ def _fit_payload(config: CliConfig, kind: str, result) -> int:
         raise NotConverged(f"{kind} fit did not converge")
     payload = {"provenance": config.provenance(f"fit {kind}"), "fit": result.to_dict()}
     path = config.output_dir / f"fit_{kind}.json"
-    _write_json(path, payload)
+    write_json(path, payload)
     print(path)
     return 0
 
@@ -296,7 +290,7 @@ def cmd_calibrate(config: CliConfig, args: argparse.Namespace) -> int:
     if device.coupling > 0.0:
         payload["critical_photon_number"] = critical_photon_number(device)
     path = config.output_dir / "calibration.json"
-    _write_json(path, payload)
+    write_json(path, payload)
     print(path)
     return 0
 
@@ -422,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_readout_args(p)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("fit", parents=[common], help="least-squares fits of measurement CSVs")
+    # the options follow the fit kind, so none can be given before it
+    p = sub.add_parser("fit", help="least-squares fits of measurement CSVs")
     fit_sub = p.add_subparsers(dest="fit_kind", required=True)
 
     f = fit_sub.add_parser(

@@ -30,6 +30,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from enum import IntEnum
 from pathlib import Path
 
+from ._artefacts import write_json
 from .errors import ConfigError, DegenerateDetuning, ZeroCoupling
 
 TWO_PI = 2.0 * math.pi
@@ -149,7 +150,7 @@ class DeviceParams:
             raise ConfigError(f"bad device parameters: {exc}") from exc
 
     def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def from_json(cls, path: str | Path) -> "DeviceParams":

@@ -22,16 +22,15 @@ active baseline.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ._artefacts import write_csv, write_json
 from .core import MHZ_TO_RAD_NS, DeviceParams, QubitState, complex_rate
 from .dynamics import (
     Trajectory,
@@ -130,22 +129,7 @@ class ResetSolution:
         return self
 
     def to_dict(self) -> dict:
-        return {
-            "reset_amplitude": self.reset_amplitude,
-            "reset_phase": self.reset_phase,
-            "reset_duration": self.reset_duration,
-            "readout": {
-                "amplitude": self.readout.amplitude,
-                "phase": self.readout.phase,
-                "duration": self.readout.duration,
-            },
-            "residual_photons": {int(k): v for k, v in self.residual_photons.items()},
-            "target_states": [int(s) for s in self.target_states],
-            "mode": self.mode.value,
-            "method": self.method,
-            "converged": self.converged,
-            "iterations": self.iterations,
-        }
+        return asdict(self)
 
 
 def _end_fields(
@@ -464,18 +448,16 @@ class ResidualMap:
         )
 
     def write_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["eps_r", "phi_r", "residual"])
-            for i, amp in enumerate(self.amplitude_axis):
-                for j, phi in enumerate(self.phase_axis):
-                    writer.writerow(
-                        [
-                            format(amp, ".17g"),
-                            format(phi, ".17g"),
-                            format(self.residual[i, j], ".17g"),
-                        ]
-                    )
+        phases = self.phase_axis.tolist()
+        write_csv(
+            path,
+            ["eps_r", "phi_r", "residual"],
+            [
+                (amp, phi, r)
+                for amp, row in zip(self.amplitude_axis.tolist(), self.residual.tolist())
+                for phi, r in zip(phases, row)
+            ],
+        )
 
     def sidecar_dict(self) -> dict:
         return {
@@ -491,7 +473,7 @@ class ResidualMap:
         }
 
     def write_sidecar(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.sidecar_dict(), indent=2, sort_keys=True) + "\n")
+        write_json(path, self.sidecar_dict())
 
 
 def residual_map(
@@ -655,13 +637,8 @@ class SchemeComparison:
         bundle can be moved wholesale.
         """
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         summary: dict = {
-            "readout": {
-                "amplitude": self.readout.amplitude,
-                "phase": self.readout.phase,
-                "duration": self.readout.duration,
-            },
+            "readout": asdict(self.readout),
             "reset_duration": self.reset_duration,
             "schemes": {},
         }

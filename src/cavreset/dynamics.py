@@ -30,13 +30,13 @@ Jacobian from it.
 from __future__ import annotations
 
 import cmath
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ._artefacts import write_csv
 from .core import MHZ_TO_RAD_NS, DeviceParams, QubitState, complex_rate
 from .errors import ConfigError, KerrNotSupported, NonFinite, OutOfRange, StepTooLarge
 from .pulses import DriveSegment, PulseSchedule
@@ -78,18 +78,11 @@ class Trajectory:
 
     def write_csv(self, path: str | Path) -> None:
         """Write `t_ns,re_alpha,im_alpha,n` rows with full float precision."""
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t_ns", "re_alpha", "im_alpha", "n"])
-            for t, a in zip(self.times, self.alpha):
-                writer.writerow(
-                    [
-                        format(t, ".17g"),
-                        format(a.real, ".17g"),
-                        format(a.imag, ".17g"),
-                        format(abs(a) ** 2, ".17g"),
-                    ]
-                )
+        write_csv(
+            path,
+            ["t_ns", "re_alpha", "im_alpha", "n"],
+            [(t, a.real, a.imag, abs(a) ** 2) for t, a in zip(self.times.tolist(), self.alpha.tolist())],
+        )
 
 
 def photon_number(traj: Trajectory, t: float) -> float:

@@ -108,6 +108,8 @@ class RamseyModel:
     n0: float = 0.0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.gamma2, self.fringe, self.chi, self.kappa, self.phi0, self.n0))):
+            raise ConfigError(f"Ramsey model fields must be finite, got {self}")
         if self.gamma2 < 0.0:
             raise ConfigError(f"gamma2 must be >= 0, got {self.gamma2}")
         if self.kappa <= 0.0:
@@ -176,7 +178,8 @@ def fit_ramsey(
     square root.
 
     Raises:
-        ConfigError: a NaN or infinite sample.
+        ConfigError: a NaN or infinite sample, or fixed rates that no
+            RamseyModel accepts.
         InsufficientSamples: fewer than 10 points or a span under 2/kappa.
     """
     pts = _finite_samples(sorted((float(t), float(s)) for t, s in samples), "Ramsey")
@@ -187,6 +190,8 @@ def fit_ramsey(
     for key in ("gamma2", "chi", "kappa"):
         if key not in fixed:
             raise ConfigError(f"fixed parameters must include {key}")
+    # reject bad fixed rates here, before the span check divides by kappa
+    RamseyModel(gamma2=fixed["gamma2"], fringe=0.0, chi=fixed["chi"], kappa=fixed["kappa"])
     span = float(times[-1] - times[0])
     if span < 2.0 / fixed["kappa"]:
         raise InsufficientSamples(

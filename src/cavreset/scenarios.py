@@ -14,7 +14,6 @@ nothing is persisted.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -22,6 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._artefacts import write_csv, write_json
 from ._version import __version__
 from .core import (
     MHZ_TO_RAD_NS,
@@ -61,7 +61,6 @@ from .synth import (
     gen_backaction_sequence,
     gen_ramsey_dataset,
     gen_spectroscopy,
-    write_samples_csv,
 )
 
 SCENARIO_NAMES = (
@@ -138,6 +137,12 @@ class _Context:
     def add_file(self, name: str) -> Path:
         self.files.append(name)
         return self.out_dir / name
+
+    def write_json(self, name: str, payload: object) -> None:
+        write_json(self.add_file(name), payload)
+
+    def write_csv(self, name: str, header: Sequence[str], rows: Sequence[Sequence[float]]) -> None:
+        write_csv(self.add_file(name), header, rows)
 
     def readout(self) -> DriveSegment:
         return ring_up_segment(
@@ -228,15 +233,7 @@ def _fig1_maps(ctx: _Context) -> None:
         note="residual at eps_r = 0 equals n(tau) e^{-kappa dtau}",
     )
 
-    path = ctx.add_file("reset_solutions.json")
-    path.write_text(
-        json.dumps(
-            {str(int(j)): sol.to_dict() for j, sol in solutions.items()},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
+    ctx.write_json("reset_solutions.json", {str(int(j)): sol.to_dict() for j, sol in solutions.items()})
 
 
 def _fig2_scaling(ctx: _Context) -> None:
@@ -247,8 +244,8 @@ def _fig2_scaling(ctx: _Context) -> None:
     rows = scaling_law_check(
         params, QubitState.GROUND, readout, RESET_DURATION, betas, ctx.chi_source
     )
-    write_samples_csv(
-        ctx.add_file("scaling_rows.csv"),
+    ctx.write_csv(
+        "scaling_rows.csv",
         ["beta_n", "beta_r", "beta_phi", "phase_delta"],
         [[r.beta_n, r.beta_r, r.beta_phi, r.phase_delta] for r in rows],
     )
@@ -306,10 +303,8 @@ def _fig2_scaling(ctx: _Context) -> None:
     )
 
     example = gen_ramsey_dataset(model, times, NoiseSpec.gaussian(0.01, derive_seeds(ctx.seed, 1)[0]))
-    write_samples_csv(ctx.add_file("ramsey_example.csv"), ["t", "S"], example)
-    ctx.add_file("ramsey_fits.json").write_text(
-        json.dumps(fit_records, indent=2, sort_keys=True) + "\n"
-    )
+    ctx.write_csv("ramsey_example.csv", ["t", "S"], example)
+    ctx.write_json("ramsey_fits.json", fit_records)
     ctx.notes["ramsey_noisy_estimates_mean"] = float(np.mean(estimates_arr))
 
 
@@ -342,8 +337,8 @@ def _fig3_dynamics(ctx: _Context) -> None:
         sample_dt=0.1,
     )
     summary = comparison.write(ctx.out_dir)
-    for scheme in (SchemeLabel.SQUARE, SchemeLabel.SSPE, SchemeLabel.CLEAR):
-        ctx.files.append(f"trajectory_{scheme.value}_state0.csv")
+    for by_state in summary["schemes"].values():
+        ctx.files.extend(entry["trajectory_csv"] for entry in by_state.values())
 
     square = comparison.metrics(SchemeLabel.SQUARE, QubitState.GROUND)
     sspe = comparison.metrics(SchemeLabel.SSPE, QubitState.GROUND)
@@ -406,14 +401,12 @@ def _fig3_dynamics(ctx: _Context) -> None:
         0.01,
         note="max reconstruction error over the transient, relative to peak n",
     )
-    write_samples_csv(
-        ctx.add_file("ac_stark_reconstruction.csv"),
+    ctx.write_csv(
+        "ac_stark_reconstruction.csv",
         ["delay_ns", "n_true", "n_reconstructed"],
         [[d, t, e] for (d, _), t, e in zip(recon, truth, estimate)],
     )
-
-    path = ctx.add_file("scheme_comparison.json")
-    path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    ctx.write_json("scheme_comparison.json", summary)
 
 
 def _fig4_backaction(ctx: _Context) -> None:
@@ -468,12 +461,10 @@ def _fig4_backaction(ctx: _Context) -> None:
     )
 
     example = gen_backaction_sequence(relax, 60, NoiseSpec.binomial(4000, seeds[0]))
-    write_samples_csv(ctx.add_file("backaction_relaxation_example.csv"), ["m", "P"], example)
+    ctx.write_csv("backaction_relaxation_example.csv", ["m", "P"], example)
     example2 = gen_backaction_sequence(excite, 150, NoiseSpec.binomial(4000, seeds[20]))
-    write_samples_csv(ctx.add_file("backaction_excitation_example.csv"), ["m", "P"], example2)
-    ctx.add_file("backaction_fit.json").write_text(
-        json.dumps(fit.to_dict(), indent=2, sort_keys=True) + "\n"
-    )
+    ctx.write_csv("backaction_excitation_example.csv", ["m", "P"], example2)
+    ctx.write_json("backaction_fit.json", fit.to_dict())
 
 
 def _appc_calibration(ctx: _Context) -> None:
@@ -497,8 +488,8 @@ def _appc_calibration(ctx: _Context) -> None:
         rel = abs(n_cubic - n_ode) / n_ode
         worst = max(worst, rel)
         rows.append([n_target, n_cubic, n_ode, rel])
-    write_samples_csv(
-        ctx.add_file("kerr_steady_state_check.csv"),
+    ctx.write_csv(
+        "kerr_steady_state_check.csv",
         ["n_target", "n_cubic", "n_ode", "relative_gap"],
         rows,
     )
@@ -522,7 +513,7 @@ def _appc_calibration(ctx: _Context) -> None:
         return pts
 
     points = synth_points(kerr_params)
-    write_samples_csv(ctx.add_file("kerr_calibration_points.csv"), ["v2", "n"], points)
+    ctx.write_csv("kerr_calibration_points.csv", ["v2", "n"], points)
     fit = fit_kerr_calibration(points, base, j, ctx.chi_source)
     ctx.check_abs(
         "kerr_fit_recovery_khz",
@@ -541,10 +532,7 @@ def _appc_calibration(ctx: _Context) -> None:
         0.1,
         note="linear synthetic data must not produce a spurious Kerr term",
     )
-    ctx.add_file("kerr_fit.json").write_text(
-        json.dumps({"kerr": fit.to_dict(), "null": null_fit.to_dict()}, indent=2, sort_keys=True)
-        + "\n"
-    )
+    ctx.write_json("kerr_fit.json", {"kerr": fit.to_dict(), "null": null_fit.to_dict()})
 
 
 _SCENARIOS: dict[str, Callable[[_Context], None]] = {
@@ -575,7 +563,6 @@ def run_scenario(
     if params is None:
         params = default_device()
     out_dir = Path(out_root) / name
-    out_dir.mkdir(parents=True, exist_ok=True)
     ctx = _Context(params=params, out_dir=out_dir, seed=int(seed), chi_source=chi_source)
 
     _SCENARIOS[name](ctx)
@@ -593,9 +580,7 @@ def run_scenario(
         },
         notes=ctx.notes,
     )
-    (out_dir / "report.json").write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-    )
+    write_json(out_dir / "report.json", report.to_dict())
     if raise_on_fail and not report.passed:
         failed = ", ".join(a.name for a in report.failures())
         exc = ScenarioFailed(f"scenario {name} failed: {failed}")

@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._artefacts import write_csv as write_samples_csv
 from .dynamics import Trajectory, photon_number
 from .errors import ConfigError
 from .fitting import BackactionModel, RamseyModel, backaction_forward, ramsey_forward
@@ -156,17 +157,6 @@ def gen_spectroscopy(
         amps = noise.apply(amps, rng)
         out.append((float(delay), freqs.copy(), amps))
     return out
-
-
-def write_samples_csv(
-    path: str | Path, header: Sequence[str], rows: Sequence[Sequence[float]]
-) -> None:
-    """Two-plus-column CSV with full float precision (deterministic bytes)."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(header))
-        for row in rows:
-            writer.writerow([format(float(v), ".17g") for v in row])
 
 
 def read_samples_csv(path: str | Path) -> list[tuple[float, ...]]:

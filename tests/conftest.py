@@ -1,6 +1,6 @@
 import pytest
 
-from cavreset import DriveSegment, PulseSchedule, default_device, ring_up_segment
+from cavreset import DriveSegment, PulseSchedule, default_device, ring_up_segment, run_all
 
 READOUT_DURATION = 900.0
 RESET_DURATION = 50.0
@@ -31,3 +31,10 @@ def readout_schedule(readout):
 @pytest.fixture()
 def short_segment():
     return DriveSegment(amplitude=0.01, phase=0.5, duration=40.0)
+
+
+@pytest.fixture(scope="session")
+def all_reports(tmp_path_factory):
+    """(out_root, reports) of one `run_all` at seed 0, shared by the session."""
+    root = tmp_path_factory.mktemp("scenarios")
+    return root, run_all(out_root=root, seed=0, raise_on_fail=False)

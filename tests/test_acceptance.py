@@ -269,10 +269,10 @@ def test_criterion_09_intrinsic_relaxation_probability():
     )
 
 
-def test_criterion_10_scenarios_reproduce_byte_identical(tmp_path):
-    a = tmp_path / "runA"
+def test_criterion_10_scenarios_reproduce_byte_identical(all_reports, tmp_path):
+    # the session's shared run against one fresh, independent run
+    a, reports_a = all_reports
     b = tmp_path / "runB"
-    reports_a = run_all(out_root=a, seed=0, raise_on_fail=False)
     reports_b = run_all(out_root=b, seed=0, raise_on_fail=False)
     all_passed = all(r.passed for r in reports_a.values()) and all(
         r.passed for r in reports_b.values()

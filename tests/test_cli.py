@@ -224,6 +224,30 @@ class TestFit:
     def test_missing_data_file_is_config_error(self, tmp_path):
         assert run("fit", "decay", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path)) in (2,)
 
+    @pytest.mark.parametrize("kappa", ["0", "nan"])
+    def test_ramsey_bad_fixed_kappa_is_config_error(self, tmp_path, kappa):
+        model = RamseyModel.from_device(default_device(), fringe=2.0 * math.pi, n0=1.0)
+        data = tmp_path / "ramsey.csv"
+        write_samples_csv(data, ["t_us", "signal"], gen_ramsey_dataset(model, np.linspace(0.0, 2.0, 50)))
+        out = tmp_path / "out"
+        assert run("fit", "ramsey", "--data", str(data), "--kappa", kappa, "--out", str(out)) == 2
+        assert not out.exists()
+
+    def test_options_before_the_fit_kind_are_rejected(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "qubit2.json"
+        default_device(qubit=2).to_json(cfg)
+        rows = [(t, 5.0 * math.exp(-0.01 * t)) for t in np.linspace(0.0, 400.0, 40)]
+        data = tmp_path / "decay.csv"
+        write_samples_csv(data, ["t_ns", "n"], rows)
+        with pytest.raises(SystemExit) as err:
+            run("fit", "--config", str(cfg), "--out", str(tmp_path / "early"), "decay", "--data", str(data))
+        assert err.value.code == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["decay.csv", "qubit2.json"]
+        assert run("fit", "decay", "--config", str(cfg), "--data", str(data), "--out", str(tmp_path / "late")) == 0
+        payload = json.loads((tmp_path / "late" / "fit_decay.json").read_text())
+        assert payload["provenance"]["device"]["kappa"] == pytest.approx(4.054)
+
 
 class TestConfigAndCalibrate:
     def test_custom_config_respected(self, tmp_path):

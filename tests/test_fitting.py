@@ -111,6 +111,15 @@ class TestRamseyForward:
         with pytest.raises(ConfigError):
             RamseyModel(gamma2=0.1, fringe=0.0, chi=fixed["chi"], kappa=fixed["kappa"], n0=-1.0)
 
+    @pytest.mark.parametrize("field", ["gamma2", "fringe", "chi", "kappa", "phi0", "n0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_field_rejected(self, device, field, value):
+        fixed = fixed_for(device)
+        fields = {"gamma2": fixed["gamma2"], "fringe": 1.0, "chi": fixed["chi"], "kappa": fixed["kappa"]}
+        fields[field] = value
+        with pytest.raises(ConfigError, match="finite"):
+            RamseyModel(**fields)
+
     def test_from_device_uses_qubit_pull(self, device):
         from cavreset import chi_shift
 
@@ -159,6 +168,16 @@ class TestFitRamsey:
     def test_missing_fixed_key(self, device):
         fixed = fixed_for(device)
         del fixed["kappa"]
+        with pytest.raises(ConfigError):
+            fit_ramsey(trace(device, 1.0), fixed)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("kappa", 0.0), ("kappa", math.nan), ("kappa", math.inf), ("chi", math.nan), ("gamma2", -1.0)],
+    )
+    def test_bad_fixed_rate_rejected(self, device, key, value):
+        fixed = fixed_for(device)
+        fixed[key] = value
         with pytest.raises(ConfigError):
             fit_ramsey(trace(device, 1.0), fixed)
 

@@ -11,16 +11,9 @@ from cavreset import (
     ConfigError,
     ScenarioFailed,
     default_device,
-    run_all,
     run_scenario,
 )
 from cavreset.scenarios import derive_seeds
-
-
-@pytest.fixture(scope="module")
-def all_reports(tmp_path_factory):
-    root = tmp_path_factory.mktemp("scenarios")
-    return root, run_all(out_root=root, seed=0, raise_on_fail=False)
 
 
 class TestAllScenarios:
