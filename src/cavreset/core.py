@@ -217,6 +217,17 @@ def chi_shift(params: DeviceParams, state: QubitState | int, source: str = "form
     return chi01 - chi12
 
 
+def qubit_pull(params: DeviceParams, source: str = "formula") -> float:
+    """Qubit frequency shift per photon over two, (chi_1 - chi_0) / 2 in MHz.
+
+    The qubit line moves by the full dressed splitting chi_1 - chi_0 per
+    photon; the Ramsey and ac-Stark models carry the factor of two.
+    """
+    return 0.5 * (
+        chi_shift(params, QubitState.EXCITED, source) - chi_shift(params, QubitState.GROUND, source)
+    )
+
+
 def complex_rate(
     params: DeviceParams, state: QubitState | int, source: str = "formula"
 ) -> complex:

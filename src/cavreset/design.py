@@ -54,6 +54,9 @@ CONTOUR_LEVEL = 0.1
 #: RK4 step for Kerr-model endpoints, ns.
 DESIGN_DT = 0.05
 
+#: Trajectory sample spacing of `compare_schemes`, ns.
+_COMPARE_SAMPLE_DT = 0.1
+
 #: Drive cells per tile of a residual map.  The Kerr stepper's nine
 #: buffers then take about 2 MB, one core's L2 cache on a 2-vCPU Xeon,
 #: where a 201x200 Kerr map runs as fast in 4k-cell tiles and about 20 %
@@ -118,8 +121,8 @@ class ResetSolution:
             duration=self.reset_duration,
         )
 
-    def schedule(self, label: str = SchemeLabel.SSPE.value) -> PulseSchedule:
-        return PulseSchedule(segments=(self.readout, self.segment()), label=label)
+    def schedule(self) -> PulseSchedule:
+        return PulseSchedule(segments=(self.readout, self.segment()), label=SchemeLabel.SSPE.value)
 
     def require_converged(self) -> "ResetSolution":
         if not self.converged:
@@ -212,9 +215,8 @@ def _least_squares_drive(
     kc = params.kerr_coeff * MHZ_TO_RAD_NS
     # reset is linear in x, so reset(e_k) holds d drive / d x_k per segment
     units = [reset(e).segments for e in np.eye(2)]
-    last: dict = {}
 
-    def residuals(x: np.ndarray) -> np.ndarray:
+    def model(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         segments = [
             (seg.complex_amplitude, seg.duration, u0.complex_amplitude, u1.complex_amplitude)
             for seg, u0, u1 in zip(reset(x), *units)
@@ -225,15 +227,9 @@ def _least_squares_drive(
             s = scale[j]
             out += [s * a.real, s * a.imag]
             jac += [[s * d0.real, s * d1.real], [s * d0.imag, s * d1.imag]]
-        last["x"], last["jac"] = x.tobytes(), np.array(jac)
-        return np.array(out)
+        return np.array(out), np.array(jac)
 
-    def jacobian(x: np.ndarray) -> np.ndarray:
-        if last.get("x") != x.tobytes():
-            residuals(x)
-        return last["jac"]
-
-    lm = levenberg_marquardt(residuals, start, jac=jacobian)
+    lm = levenberg_marquardt(model, start)
     return lm.params, lm.success, lm.nfev
 
 
@@ -682,7 +678,6 @@ def compare_schemes(
     readout: DriveSegment,
     reset_duration: float,
     chi_source: str = "formula",
-    sample_dt: float = 0.1,
 ) -> SchemeComparison:
     """Simulate square-tail, single-segment, and two-segment resets.
 
@@ -693,11 +688,11 @@ def compare_schemes(
     entry reports the end-of-window residual, the peak photon number inside
     the window, and the fitted effective decay rate under the fit-window
     rule of `reset_window_rate`.  Peak and rate come from the trajectory
-    sampled at `sample_dt` (with a Kerr term the three trajectories of a
-    state share one readout integration); the residual is the design
-    endpoint (exact in the linear model, RK4 at DESIGN_DT with a Kerr
-    term), because a coarse RK4 trajectory through a strong two-segment
-    window can miss it by 1e-8 photons.
+    sampled every _COMPARE_SAMPLE_DT ns (with a Kerr term the three
+    trajectories of a state share one readout integration); the residual
+    is the design endpoint (exact in the linear model, RK4 at DESIGN_DT
+    with a Kerr term), because a coarse RK4 trajectory through a strong
+    two-segment window can miss it by 1e-8 photons.
     """
     targets = _normalize_states(states)
     if reset_duration <= 0.0:
@@ -734,12 +729,12 @@ def compare_schemes(
                 )
         if linear:
             trajectories = [
-                propagate(params, sched, j, sample_dt=sample_dt, chi_source=chi_source)
+                propagate(params, sched, j, sample_dt=_COMPARE_SAMPLE_DT, chi_source=chi_source)
                 for sched in schedules.values()
             ]
         else:
             trajectories = _propagate_ode_shared(
-                params, list(schedules.values()), j, sample_dt, chi_source=chi_source
+                params, list(schedules.values()), j, _COMPARE_SAMPLE_DT, chi_source=chi_source
             )
 
         for (scheme, sched), traj in zip(schedules.items(), trajectories):

@@ -288,6 +288,8 @@ def final_alpha(
     chi_source: str = "formula",
 ) -> complex:
     """Exact endpoint of the linear model after the whole schedule."""
+    if params.kerr_coeff != 0.0:
+        raise KerrNotSupported("closed form only covers the linear model; use ode_final_alpha")
     return _closed_form_end(alpha0, complex_rate(params, state, chi_source), schedule)
 
 

@@ -24,12 +24,12 @@ spectroscopy frequencies in ordinary MHz.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import MHZ_TO_RAD_NS, DeviceParams, QubitState, chi_shift, complex_rate
+from .core import MHZ_TO_RAD_NS, DeviceParams, QubitState, complex_rate, qubit_pull
 from .errors import (
     ConfigError,
     DegenerateRates,
@@ -128,18 +128,13 @@ class RamseyModel:
     ) -> "RamseyModel":
         """Fix gamma2, chi, kappa from device values (rad/us).
 
-        chi is the per-photon qubit pull over two, (chi_1 - chi_0)/2: the
-        qubit line moves by the full dressed splitting chi_1 - chi_0 per
-        photon and the model's phase term carries the factor of two.
+        chi is `qubit_pull`, the per-photon qubit pull over two: the
+        model's phase term carries the factor of two.
         """
-        pull = 0.5 * (
-            chi_shift(params, QubitState.EXCITED, chi_source)
-            - chi_shift(params, QubitState.GROUND, chi_source)
-        )
         return cls(
             gamma2=1.0 / params.t2_echo,
             fringe=fringe,
-            chi=pull * 2.0 * math.pi,
+            chi=qubit_pull(params, chi_source) * 2.0 * math.pi,
             kappa=params.kappa * 2.0 * math.pi,
             phi0=phi0,
             n0=n0,
@@ -154,16 +149,24 @@ def ramsey_forward(model: RamseyModel, t):
     integrated cavity response that both dephases (via Im Z) and shifts
     (via Re Z) the qubit while the leftover field decays.
     """
-    t = np.asarray(t, dtype=float)
+    signal, _, _ = _ramsey_terms(model, np.asarray(t, dtype=float))
+    if signal.ndim == 0:
+        return float(signal)
+    return signal
+
+
+def _ramsey_terms(model: RamseyModel, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S, E, Z) at times t, with S = (1 - Im E) / 2 and E = exp(exponent).
+
+    The fit differentiates through E and Z: d S / d p = -Im(E d exponent / d p) / 2.
+    """
     rate = model.kappa + 2j * model.chi
     z = (1.0 - np.exp(-rate * t)) / rate
     exponent = -(model.gamma2 + 1j * model.fringe) * t + 1j * (
         model.phi0 - 2.0 * model.n0 * model.chi * z
     )
-    signal = 0.5 * (1.0 - np.imag(np.exp(exponent)))
-    if signal.ndim == 0:
-        return float(signal)
-    return signal
+    phasor = np.exp(exponent)
+    return 0.5 * (1.0 - np.imag(phasor)), phasor, z
 
 
 def fit_ramsey(
@@ -191,7 +194,7 @@ def fit_ramsey(
         if key not in fixed:
             raise ConfigError(f"fixed parameters must include {key}")
     # reject bad fixed rates here, before the span check divides by kappa
-    RamseyModel(gamma2=fixed["gamma2"], fringe=0.0, chi=fixed["chi"], kappa=fixed["kappa"])
+    base = RamseyModel(gamma2=fixed["gamma2"], fringe=0.0, chi=fixed["chi"], kappa=fixed["kappa"])
     span = float(times[-1] - times[0])
     if span < 2.0 / fixed["kappa"]:
         raise InsufficientSamples(
@@ -202,18 +205,14 @@ def fit_ramsey(
     phi0_0 = float(init.get("phi0", 0.0))
     n0_0 = max(float(init.get("n0", 0.5)), 1e-4)
 
-    def residuals(p: np.ndarray) -> np.ndarray:
-        model = RamseyModel(
-            gamma2=fixed["gamma2"],
-            fringe=p[0],
-            chi=fixed["chi"],
-            kappa=fixed["kappa"],
-            phi0=p[1],
-            n0=p[2] * p[2],
-        )
-        return ramsey_forward(model, times) - data
+    def model(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        trial = replace(base, fringe=p[0], phi0=p[1], n0=p[2] * p[2])
+        signal, phasor, z = _ramsey_terms(trial, times)
+        # d exponent / d (fringe, phi0, u), with n0 = u^2
+        d_exponent = np.column_stack([-1j * times, np.full(times.size, 1j), -4j * p[2] * trial.chi * z])
+        return signal - data, -0.5 * np.imag(phasor[:, None] * d_exponent)
 
-    lm = levenberg_marquardt(residuals, [fringe0, phi0_0, math.sqrt(n0_0)])
+    lm = levenberg_marquardt(model, [fringe0, phi0_0, math.sqrt(n0_0)])
     u = float(lm.params[2])
     values = {"fringe": float(lm.params[0]), "phi0": float(lm.params[1]), "n0": u * u}
     return _lm_fit(lm, values, {"n0": (2.0 * u) ** 2})
@@ -411,14 +410,24 @@ def fit_backaction(samples: Sequence[tuple[float, float]]) -> FitResult:
     gb0 = min(max(p_inf0 * gamma_sum, 1e-6), 0.5)
     go0 = min(max(gamma_sum - gb0, 1e-6), 0.5)
 
-    def residuals(p: np.ndarray) -> np.ndarray:
+    k = m_vals - 1.0
+
+    def model(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         go = _sigmoid(p[0])
         gb = _sigmoid(p[1])
         total = go + gb
         steady = gb / total
-        return (p[2] - steady) * (1.0 - total) ** (m_vals - 1.0) + steady - p_vals
+        contrast = p[2] - steady
+        power = (1.0 - total) ** k
+        # d power / d total; skipped at k = 0, where 0 * (1 - total)^-1 is NaN at total = 1
+        d_power = -k * np.power(1.0 - total, k - 1.0, out=np.zeros_like(k), where=k != 0.0)
+        # steady moves by -steady/total per unit gamma_out and (1 - steady)/total per gamma_back
+        d_go = -steady / total * (1.0 - power) + contrast * d_power
+        d_gb = (1.0 - steady) / total * (1.0 - power) + contrast * d_power
+        jac = np.column_stack([d_go * go * (1.0 - go), d_gb * gb * (1.0 - gb), power])
+        return contrast * power + steady - p_vals, jac
 
-    lm = levenberg_marquardt(residuals, [_logit(go0), _logit(gb0), p0_0])
+    lm = levenberg_marquardt(model, [_logit(go0), _logit(gb0), p0_0])
     go = _sigmoid(float(lm.params[0]))
     gb = _sigmoid(float(lm.params[1]))
     values = {"gamma_out": go, "gamma_back": gb, "p0": float(lm.params[2])}
@@ -528,20 +537,20 @@ def fit_kerr_calibration(
     start = np.linalg.lstsq(design / norms, rhs, rcond=None)[0] / norms
     volts = np.sqrt(v2)
 
-    def residuals(p: np.ndarray) -> np.ndarray:
+    def model(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         scale, kerr_khz = float(p[0]), float(p[1])
         trial = params.with_(kerr_coeff=kerr_khz * 1e-3)
-        model = np.array(
-            [
-                kerr_steady_state(trial, state, abs(scale) * v, chi_source)
-                for v in volts
-            ]
-        )
-        return model - n_meas
+        eps = abs(scale) * volts
+        n = np.array([kerr_steady_state(trial, state, e, chi_source) for e in eps])
+        # implicit derivatives of f(n) = n [4 (delta + K n)^2 + kappa^2] - 4 eps^2 = 0
+        kc = kerr_khz * 1e-3 * MHZ_TO_RAD_NS
+        shifted = delta + kc * n
+        f_n = 4.0 * shifted * shifted + kappa * kappa + 8.0 * kc * n * shifted
+        d_scale = 8.0 * eps / f_n * math.copysign(1.0, scale) * volts
+        d_kerr = -8.0 * n * n * shifted / f_n * (1e-3 * MHZ_TO_RAD_NS)
+        return n - n_meas, np.column_stack([d_scale, d_kerr])
 
-    lm = levenberg_marquardt(
-        residuals, [math.sqrt(abs(start[0])), start[1] / MHZ_TO_RAD_NS * 1e3]
-    )
+    lm = levenberg_marquardt(model, [math.sqrt(abs(start[0])), start[1] / MHZ_TO_RAD_NS * 1e3])
     return _lm_fit(
         lm, {"volt_to_eps": abs(float(lm.params[0])), "kerr_khz": float(lm.params[1])}
     )

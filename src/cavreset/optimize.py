@@ -1,11 +1,14 @@
 """Least-squares machinery shared by the pulse-design and fit code.
 
-One workhorse lives here: a Levenberg-Marquardt wrapper.  The
-data-fitting models use it with a central-difference Jacobian.  The Kerr
-route of the reset design uses it to polish the linear-model optimum on
-RK4 endpoints, and passes the exact Jacobian of the RK4 map, which its
-sensitivity pass computes together with the residuals.  scipy is imported
-on the first call, so importing the package does not load it.
+One entry point, `levenberg_marquardt(model, p0)`, wraps the MINPACK
+Levenberg-Marquardt of scipy (Moré 1978).  Every model returns its
+residuals and their exact Jacobian from one evaluation: the fits in
+`fitting` differentiate their formulas, and the Kerr route of the reset
+design takes the RK4 map's Jacobian from the sensitivity pass of
+`dynamics`.  The wrapper keeps the last evaluation and hands its Jacobian
+back when the solver asks for it at the same point, so no point is
+evaluated twice.  scipy is imported on the first call, so importing the
+package does not load it.
 """
 
 from __future__ import annotations
@@ -15,32 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-#: Central-difference step relative to max(|p_j|, 1).
-_REL_STEP = 1e-6
-
 #: Residual evaluations after which Levenberg-Marquardt gives up.
 _MAX_NFEV = 2000
-
-
-def central_difference_jacobian(
-    residuals: Callable[[np.ndarray], np.ndarray], params: np.ndarray
-) -> np.ndarray:
-    """Jacobian d r_i / d p_j by symmetric differences.
-
-    Step per parameter is _REL_STEP * max(|p_j|, 1), which keeps the
-    truncation and roundoff errors balanced for parameters spanning many
-    decades (rates in 1/us next to photon numbers in tens).
-    """
-    params = np.asarray(params, dtype=float)
-    cols = []
-    for j in range(params.size):
-        h = _REL_STEP * max(abs(params[j]), 1.0)
-        up = params.copy()
-        dn = params.copy()
-        up[j] += h
-        dn[j] -= h
-        cols.append((residuals(up) - residuals(dn)) / (2.0 * h))
-    return np.column_stack(cols)
 
 
 @dataclass
@@ -71,27 +50,28 @@ class LMResult:
 
 
 def levenberg_marquardt(
-    residuals: Callable[[np.ndarray], np.ndarray],
+    model: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     p0: Sequence[float],
-    jac: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> LMResult:
     """Least-squares fit with LM steps.
 
-    `jac(p)` returns the Jacobian d r_i / d p_j; without it the Jacobian is
-    `central_difference_jacobian`.  `nfev` counts residual evaluations only,
-    at most _MAX_NFEV.
+    `model(p)` returns the residuals r_i and the Jacobian d r_i / d p_j at
+    p.  `nfev` counts residual evaluations, at most _MAX_NFEV.
     """
     from scipy.optimize import least_squares
 
-    if jac is None:
-        def jac(p: np.ndarray) -> np.ndarray:
-            return central_difference_jacobian(residuals, p)
+    last: dict = {}
 
-    p0 = np.asarray(p0, dtype=float)
+    def evaluate(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        key = p.tobytes()
+        if last.get("key") != key:
+            last["key"], last["value"] = key, model(p)
+        return last["value"]
+
     res = least_squares(
-        residuals,
-        p0,
-        jac=jac,
+        lambda p: evaluate(p)[0],
+        np.asarray(p0, dtype=float),
+        jac=lambda p: evaluate(p)[1],
         method="lm",
         xtol=1e-14,
         ftol=1e-14,

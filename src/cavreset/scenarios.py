@@ -27,9 +27,9 @@ from .core import (
     MHZ_TO_RAD_NS,
     DeviceParams,
     QubitState,
-    chi_shift,
     critical_photon_number,
     default_device,
+    qubit_pull,
 )
 from .design import (
     compare_schemes,
@@ -151,18 +151,6 @@ class _Context:
             READOUT_PHOTONS,
             READOUT_DURATION,
             chi_source=self.chi_source,
-        )
-
-    def qubit_pull(self) -> float:
-        """Qubit frequency shift per photon over 2, ordinary MHz.
-
-        The qubit line moves by 2*chi per photon where 2*chi is the dressed
-        splitting chi_1 - chi_0; this is the chi entering the Ramsey and
-        spectroscopy models.
-        """
-        return 0.5 * (
-            chi_shift(self.params, QubitState.EXCITED, self.chi_source)
-            - chi_shift(self.params, QubitState.GROUND, self.chi_source)
         )
 
 
@@ -334,7 +322,6 @@ def _fig3_dynamics(ctx: _Context) -> None:
         readout,
         RESET_DURATION,
         chi_source=ctx.chi_source,
-        sample_dt=0.1,
     )
     summary = comparison.write(ctx.out_dir)
     for by_state in summary["schemes"].values():
@@ -381,7 +368,7 @@ def _fig3_dynamics(ctx: _Context) -> None:
     ctx.notes["clear_overshoot_vs_sspe"] = clear.peak_photons / max(sspe.peak_photons, 1e-30)
 
     # ac-Stark readback of the square trajectory's photon transient
-    chi_pull = ctx.qubit_pull()
+    chi_pull = qubit_pull(ctx.params, ctx.chi_source)
     traj = square.trajectory
     delays = np.arange(0.0, traj.times[-1] + 1e-9, 50.0)
     linewidth = 4.0

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from cavreset import DriveSegment, PulseSchedule, default_device, ring_up_segment, run_all
@@ -38,3 +39,23 @@ def all_reports(tmp_path_factory):
     """(out_root, reports) of one `run_all` at seed 0, shared by the session."""
     root = tmp_path_factory.mktemp("scenarios")
     return root, run_all(out_root=root, seed=0, raise_on_fail=False)
+
+
+def central_difference_jacobian(residuals, params):
+    """Jacobian d r_i / d p_j by symmetric differences: the reference that
+    the exact Jacobians of the least-squares models are checked against.
+
+    The step per parameter is 1e-6 * max(|p_j|, 1), which keeps the
+    truncation and roundoff errors balanced for parameters spanning many
+    decades (rates in 1/us next to photon numbers in tens).
+    """
+    params = np.asarray(params, dtype=float)
+    cols = []
+    for j in range(params.size):
+        h = 1e-6 * max(abs(params[j]), 1.0)
+        up = params.copy()
+        dn = params.copy()
+        up[j] += h
+        dn[j] -= h
+        cols.append((residuals(up) - residuals(dn)) / (2.0 * h))
+    return np.column_stack(cols)

@@ -47,6 +47,13 @@ class TestChiShift:
         assert chi0 == pytest.approx(device.dressed_freq_0 - device.bare_cavity_freq)
         assert chi1 == pytest.approx(chi0 + device.dispersive_shift_01)
 
+    @pytest.mark.parametrize("source", ["formula", "measured"])
+    def test_qubit_pull_is_half_the_dressed_splitting(self, device, source):
+        from cavreset.core import qubit_pull
+
+        expected = 0.5 * (chi_shift(device, 1, source) - chi_shift(device, 0, source))
+        assert qubit_pull(device, source) == expected
+
     def test_measured_missing_fields(self, device):
         stripped = device.with_(dressed_freq_0=None)
         with pytest.raises(ConfigError):

@@ -185,10 +185,10 @@ class TestOptimizer:
         import cavreset.design as design_module
         from cavreset.optimize import LMResult
 
-        def stalled(residuals, p0, **_):
-            r = residuals(np.asarray(p0, dtype=float))
+        def stalled(model, p0):
+            r, jac = model(np.asarray(p0, dtype=float))
             return LMResult(np.asarray(p0, dtype=float), 0.5 * float(r @ r), r,
-                            np.zeros((r.size, 2)), 1, True, "stalled")
+                            jac, 1, True, "stalled")
 
         monkeypatch.setattr(design_module, "levenberg_marquardt", stalled)
         sol = sspe_optimize(device.with_(kerr_coeff=-0.3), 0, readout, RESET)

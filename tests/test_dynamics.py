@@ -101,6 +101,11 @@ class TestClosedForm:
         with pytest.raises(KerrNotSupported):
             propagate_closed_form(kerr_dev, two_segment_schedule(), 0)
 
+    def test_final_alpha_kerr_rejected(self, device):
+        # the closed-form endpoint must not hand back the linear answer
+        with pytest.raises(KerrNotSupported):
+            final_alpha(device.with_(kerr_coeff=-0.3), two_segment_schedule(), 0)
+
     def test_nan_sample_dt_is_config_error(self, device):
         with pytest.raises(ConfigError):
             propagate_closed_form(device, two_segment_schedule(), 0, sample_dt=math.nan)
@@ -478,8 +483,9 @@ class TestRk4Tangent:
         ids=["one_segment", "two_segments"],
     )
     def test_jacobian_matches_central_differences(self, device, drives, durations):
+        from conftest import central_difference_jacobian
+
         from cavreset.dynamics import _rk4, _rk4_tangent
-        from cavreset.optimize import central_difference_jacobian
 
         half_c = 0.5 * complex_rate(device, 1)
         kc = -0.5 * MHZ_TO_RAD_NS
