@@ -385,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         choices=[0, 1],
         default=[0],
-        help="target qubit state(s); two states selects the joint weighted objective",
+        help="target qubit state(s); two states minimize the photon sum over both",
     )
     _add_readout_args(p)
     p.set_defaults(func=cmd_design)

@@ -8,8 +8,8 @@ vacuum exactly in the linear model; the closed form is
 
 one complex condition solved by one complex drive.  Because every end
 field of the linear model is affine in the reset drive, the joint design
-for both qubit states and the two-segment baseline are weighted linear
-least-squares problems with exact solutions too.  With a Kerr term no
+for both qubit states (the photon sum over both) and the two-segment
+baseline are linear least-squares problems with exact solutions too.  With a Kerr term no
 closed form exists: Levenberg-Marquardt polishes the same residual vector
 on RK4 endpoints, starting from the linear optimum, with the exact
 Jacobian of the RK4 map from the sensitivity pass of `dynamics`.  Every
@@ -43,7 +43,7 @@ from .dynamics import (
     ode_final_alpha,
     propagate,
 )
-from .errors import ConfigError, DegenerateDuration, KerrNotSupported, NotConverged
+from .errors import ConfigError, DegenerateDuration, KerrNotSupported, NonFinite, NotConverged
 from .fitting import FitResult, exp_decay_fit
 from .optimize import levenberg_marquardt
 from .pulses import DriveSegment, PulseSchedule, SchemeLabel
@@ -80,23 +80,6 @@ def _normalize_states(states: QubitState | int | Iterable[QubitState | int]) -> 
     if not out:
         raise ConfigError("need at least one target state")
     return out
-
-
-def _resolve_weights(
-    targets: tuple[QubitState, ...],
-    weights: Mapping[QubitState | int, float] | None,
-) -> dict[QubitState, float]:
-    if weights is None:
-        return {j: 1.0 for j in targets}
-    w = {QubitState(k): float(v) for k, v in weights.items()}
-    missing = [j for j in targets if j not in w]
-    if missing:
-        raise ConfigError(f"missing weight for state(s) {missing}")
-    if not all(math.isfinite(v) and v >= 0.0 for v in w.values()):
-        raise ConfigError("weights must be finite and >= 0")
-    if all(w[j] == 0.0 for j in targets):
-        raise ConfigError("at least one weight must be positive")
-    return w
 
 
 @dataclass(frozen=True)
@@ -172,45 +155,41 @@ def _readout_ends(
 def _least_squares_drive(
     params: DeviceParams,
     targets: tuple[QubitState, ...],
-    weights: Mapping[QubitState, float],
     readout: DriveSegment,
     reset: Callable[[np.ndarray], PulseSchedule],
     ends: Mapping[QubitState, complex],
     chi_source: str,
     start: Sequence[float] | None = None,
 ) -> tuple[np.ndarray, bool, int]:
-    """Two real unknowns x minimizing sum_j w_j |alpha_j(end)|^2.
+    """Two real unknowns x minimizing sum_j |alpha_j(end)|^2.
 
     `reset(x)` builds the reset segments and must be linear in x; `ends`
     holds each state's field at the start of the reset window.  In the
     linear model each end field is affine in x, alpha_j = f_j + B_j x, so
-    the minimum is one least-squares solve over the rows sqrt(w_j) [Re, Im]
-    stacked across the target states.  With a Kerr term
-    Levenberg-Marquardt minimizes the same residual vector over RK4
-    endpoints, started from `start` or else from the linear optimum for
-    the linear readout.  One `_rk4_tangent` pass per state gives both the
-    residuals and their exact Jacobian.
+    the minimum is one least-squares solve over the rows [Re, Im] stacked
+    across the target states.  With a Kerr term Levenberg-Marquardt
+    minimizes the same residual vector over RK4 endpoints, started from
+    `start` or else from the linear optimum for the linear readout.  One
+    `_rk4_tangent` pass per state gives both the residuals and their exact
+    Jacobian.
 
     Returns (x, converged, objective evaluations).
     """
-    scale = {j: math.sqrt(weights[j]) for j in targets}
     if params.kerr_coeff == 0.0:
         rows, rhs = [], []
         for j in targets:
             c = complex_rate(params, j, chi_source)
             free = _closed_form_end(ends[j], c, reset(np.zeros(2)))
             cols = [_closed_form_end(0j, c, reset(e)) for e in np.eye(2)]
-            rows += [[scale[j] * b.real for b in cols], [scale[j] * b.imag for b in cols]]
-            rhs += [-scale[j] * free.real, -scale[j] * free.imag]
+            rows += [[b.real for b in cols], [b.imag for b in cols]]
+            rhs += [-free.real, -free.imag]
         x, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
         return x, True, 0
 
     if start is None:
         linear = params.with_(kerr_coeff=0.0)
         linear_ends = _readout_ends(linear, readout, targets, chi_source)
-        start, _, _ = _least_squares_drive(
-            linear, targets, weights, readout, reset, linear_ends, chi_source
-        )
+        start, _, _ = _least_squares_drive(linear, targets, readout, reset, linear_ends, chi_source)
     half_c = {j: 0.5 * complex_rate(params, j, chi_source) for j in targets}
     kc = params.kerr_coeff * MHZ_TO_RAD_NS
     # reset is linear in x, so reset(e_k) holds d drive / d x_k per segment
@@ -224,9 +203,8 @@ def _least_squares_drive(
         out, jac = [], []
         for j in targets:
             a, d0, d1 = _rk4_tangent(ends[j], segments, half_c[j], kc, DESIGN_DT)
-            s = scale[j]
-            out += [s * a.real, s * a.imag]
-            jac += [[s * d0.real, s * d1.real], [s * d0.imag, s * d1.imag]]
+            out += [a.real, a.imag]
+            jac += [[d0.real, d1.real], [d0.imag, d1.imag]]
         return np.array(out), np.array(jac)
 
     lm = levenberg_marquardt(model, start)
@@ -236,15 +214,13 @@ def _least_squares_drive(
 def _sspe_solution(
     params: DeviceParams,
     targets: tuple[QubitState, ...],
-    weights: Mapping[QubitState, float],
     readout: DriveSegment,
     reset_duration: float,
     chi_source: str,
     method: str,
     ends: Mapping[QubitState, complex],
-    start: Sequence[float] | None = None,
 ) -> ResetSolution:
-    """Best single reset segment for the weighted targets; x = (Re, Im) of the drive.
+    """Best single reset segment for the targets; x = (Re, Im) of the drive.
 
     `ends` holds the readout end fields of the target states and of any
     other state whose residual photons are wanted; the residuals continue
@@ -260,18 +236,18 @@ def _sspe_solution(
 
     def solve(start: Sequence[float] | None) -> tuple[PulseSchedule, bool, int, dict[QubitState, float]]:
         x, converged, evaluations = _least_squares_drive(
-            params, targets, weights, readout, reset, ends, chi_source, start
+            params, targets, readout, reset, ends, chi_source, start
         )
         window = reset(x)
         fields = _end_fields(params, window, ends, chi_source)
         return window, converged, evaluations, {j: abs(a) ** 2 for j, a in fields.items()}
 
-    window, converged, evaluations, residual = solve(start)
+    window, converged, evaluations, residual = solve(None)
     if params.kerr_coeff != 0.0 and len(targets) == 1:
         (j,) = targets
         if residual[j] > _REACHED_ZERO:
             restart, _, _ = _least_squares_drive(
-                params.with_(kerr_coeff=0.0), targets, weights, readout, reset, ends, chi_source
+                params.with_(kerr_coeff=0.0), targets, readout, reset, ends, chi_source
             )
             window2, converged2, more, residual2 = solve(restart)
             evaluations += more
@@ -317,7 +293,7 @@ def sspe_analytic(
 ) -> ResetSolution:
     """Exact linear-model reset drive for one qubit state.
 
-    This is the one-state case of the weighted solve of `sspe_optimize`.
+    This is the one-state case of the least-squares solve of `sspe_optimize`.
 
     Raises:
         KerrNotSupported: the closed form does not cover kerr_coeff != 0.
@@ -327,9 +303,7 @@ def sspe_analytic(
     j = QubitState(state)
     _require_analytic(params, j, reset_duration, chi_source)
     ends = _readout_ends(params, readout, QubitState, chi_source)
-    return _sspe_solution(
-        params, (j,), {j: 1.0}, readout, reset_duration, chi_source, "analytic", ends
-    )
+    return _sspe_solution(params, (j,), readout, reset_duration, chi_source, "analytic", ends)
 
 
 def sspe_optimize(
@@ -337,19 +311,16 @@ def sspe_optimize(
     states: QubitState | int | Iterable[QubitState | int],
     readout: DriveSegment,
     reset_duration: float,
-    weights: Mapping[QubitState | int, float] | None = None,
     chi_source: str = "formula",
-    seed: tuple[float, float] | None = None,
 ) -> ResetSolution:
-    """Minimize the weighted end-of-window photon number over (eps_r, phi_r).
+    """Minimize the end-of-window photon sum of `states` over (eps_r, phi_r).
 
     Linear model: each state's end field is affine in the complex drive u,
-    alpha_j = alpha_j(tau) e_j + b_j u, so the optimum is the weighted
-    least-squares drive u* = -sum_j w_j conj(b_j) alpha_j(tau) e_j /
-    sum_j w_j |b_j|^2, exact and found without iteration.  With a Kerr term
-    Levenberg-Marquardt polishes (Re u, Im u) on RK4 endpoints with the
-    exact Jacobian of the RK4 map, starting from `seed` (amplitude, phase)
-    or else the joint linear optimum.  A one-state Kerr design that stalls
+    alpha_j = alpha_j(tau) e_j + b_j u, so the optimum is the least-squares
+    drive u* = -sum_j conj(b_j) alpha_j(tau) e_j / sum_j |b_j|^2, exact and
+    found without iteration.  With a Kerr term Levenberg-Marquardt polishes
+    (Re u, Im u) on RK4 endpoints with the exact Jacobian of the RK4 map,
+    starting from the linear optimum.  A one-state Kerr design that stalls
     above 1e-12 photons restarts once from the linear drive for the Kerr
     readout end.  A result whose polish did not converge, or a one-state
     Kerr result still above 1e-12 photons, comes back with the flag down
@@ -358,18 +329,13 @@ def sspe_optimize(
     targets = _normalize_states(states)
     if reset_duration <= 0.0:
         raise ConfigError(f"reset_duration must be > 0, got {reset_duration}")
-    w = _resolve_weights(targets, weights)
-    start = None if seed is None else [seed[0] * math.cos(seed[1]), seed[0] * math.sin(seed[1])]
     ends = _readout_ends(params, readout, QubitState, chi_source)
-    return _sspe_solution(
-        params, targets, w, readout, reset_duration, chi_source, "numeric", ends, start
-    )
+    return _sspe_solution(params, targets, readout, reset_duration, chi_source, "numeric", ends)
 
 
 def _clear_schedule(
     params: DeviceParams,
     targets: tuple[QubitState, ...],
-    weights: Mapping[QubitState, float],
     readout: DriveSegment,
     reset_duration: float,
     chi_source: str,
@@ -384,9 +350,7 @@ def _clear_schedule(
         p2 = readout.phase + math.pi + (math.pi if e2 < 0.0 else 0.0)
         return PulseSchedule(segments=(DriveSegment(abs(e1), p1, half), DriveSegment(abs(e2), p2, half)))
 
-    x, converged, _ = _least_squares_drive(
-        params, targets, weights, readout, reset, ends, chi_source
-    )
+    x, converged, _ = _least_squares_drive(params, targets, readout, reset, ends, chi_source)
     if not converged:
         raise NotConverged("baseline amplitude polish did not converge")
     return PulseSchedule(segments=(readout, *reset(x)), label=SchemeLabel.CLEAR.value)
@@ -397,14 +361,13 @@ def clear_optimize(
     states: QubitState | int | Iterable[QubitState | int],
     readout: DriveSegment,
     reset_duration: float,
-    weights: Mapping[QubitState | int, float] | None = None,
     chi_source: str = "formula",
 ) -> PulseSchedule:
     """Two-segment active baseline: fixed phases, two real amplitudes.
 
     The reset window is split into equal halves with phases pinned to
     phi_n and phi_n + pi; the two signed amplitudes are the free
-    parameters of the same weighted least-squares solve as `sspe_optimize`
+    parameters of the same least-squares solve as `sspe_optimize`
     (exact in the linear model, Levenberg-Marquardt with the exact RK4
     Jacobian from the linear optimum with a Kerr term).  Negative
     amplitudes fold into a pi phase advance in the returned segments.
@@ -415,9 +378,8 @@ def clear_optimize(
     targets = _normalize_states(states)
     if reset_duration <= 0.0:
         raise ConfigError(f"reset_duration must be > 0, got {reset_duration}")
-    w = _resolve_weights(targets, weights)
     ends = _readout_ends(params, readout, targets, chi_source)
-    return _clear_schedule(params, targets, w, readout, reset_duration, chi_source, ends)
+    return _clear_schedule(params, targets, readout, reset_duration, chi_source, ends)
 
 
 # -- residual maps ---------------------------------------------------------
@@ -435,8 +397,15 @@ class ResidualMap:
     contour_cells: list[tuple[int, int]] = field(default_factory=list)
 
     def minimum(self) -> tuple[float, float, float]:
-        """(eps_r, phi_r, residual) at the best grid cell."""
-        i, j = np.unravel_index(int(np.argmin(self.residual)), self.residual.shape)
+        """(eps_r, phi_r, residual) at the best finite grid cell.
+
+        Raises:
+            NonFinite: every cell diverged.
+        """
+        finite = np.isfinite(self.residual)
+        if not finite.any():
+            raise NonFinite("every residual-map cell diverged")
+        i, j = np.unravel_index(int(np.argmin(np.where(finite, self.residual, np.inf))), self.residual.shape)
         return (
             float(self.amplitude_axis[i]),
             float(self.phase_axis[j]),
@@ -711,15 +680,12 @@ def compare_schemes(
         if linear:
             _require_analytic(params, j, reset_duration, chi_source)
         sol = _sspe_solution(
-            params, (j,), {j: 1.0}, readout, reset_duration, chi_source,
-            "analytic" if linear else "numeric", ends,
+            params, (j,), readout, reset_duration, chi_source, "analytic" if linear else "numeric", ends
         )
         schedules = {
             SchemeLabel.SQUARE.value: square,
             SchemeLabel.SSPE.value: sol.schedule(),
-            SchemeLabel.CLEAR.value: _clear_schedule(
-                params, (j,), {j: 1.0}, readout, reset_duration, chi_source, ends
-            ),
+            SchemeLabel.CLEAR.value: _clear_schedule(params, (j,), readout, reset_duration, chi_source, ends),
         }
 
         for scheme, sched in schedules.items():

@@ -59,7 +59,6 @@ class Trajectory:
     times: np.ndarray
     alpha: np.ndarray
     qubit_state: QubitState
-    label: str = ""
 
     def __post_init__(self) -> None:
         self.times = np.asarray(self.times, dtype=float)
@@ -336,10 +335,7 @@ def propagate_closed_form(
         t0 += seg.duration
         a = complex(vals[-1])
     return Trajectory(
-        times=np.concatenate(times),
-        alpha=np.concatenate(alphas),
-        qubit_state=QubitState(state),
-        label=schedule.label,
+        times=np.concatenate(times), alpha=np.concatenate(alphas), qubit_state=QubitState(state)
     )
 
 
@@ -415,11 +411,7 @@ def _propagate_ode_shared(
         diverged = ~np.isfinite(alpha)
         if diverged.any():
             raise NonFinite(f"cavity amplitude diverged at t = {times[diverged.argmax()]} ns")
-        trajectories.append(
-            Trajectory(
-                times=times, alpha=alpha, qubit_state=QubitState(state), label=schedule.label
-            )
-        )
+        trajectories.append(Trajectory(times=times, alpha=alpha, qubit_state=QubitState(state)))
     return trajectories
 
 
@@ -478,10 +470,9 @@ def ring_up_segment(
     state: QubitState | int,
     target_photons: float,
     duration: float,
-    phase: float = 0.0,
     chi_source: str = "formula",
 ) -> DriveSegment:
-    """Constant segment whose steady state holds target_photons for `state`.
+    """Constant zero-phase segment whose steady state holds target_photons for `state`.
 
     The amplitude inverts the steady-state condition of the Kerr cavity,
     n [4 (delta + K_c n)^2 + kappa^2] = 4 eps^2, i.e.
@@ -498,4 +489,4 @@ def ring_up_segment(
         raise ConfigError("steady-state targeting undefined for C = 0")
     shifted = 0.5 * c.imag + params.kerr_coeff * MHZ_TO_RAD_NS * target_photons
     eps = 0.5 * math.sqrt(target_photons * (4.0 * shifted * shifted + c.real * c.real))
-    return DriveSegment(amplitude=eps, phase=phase, duration=duration)
+    return DriveSegment(amplitude=eps, phase=0.0, duration=duration)

@@ -271,8 +271,8 @@ def ac_stark_reconstruct(
         PeakAtEdge: a sweep's maximum sits on its first or last point.
         InsufficientSamples: a sweep has fewer than 5 points.
     """
-    if chi == 0.0:
-        raise ConfigError("chi must be nonzero to invert the ac-Stark shift")
+    if not (math.isfinite(chi) and chi != 0.0 and math.isfinite(line_center)):
+        raise ConfigError(f"chi must be finite and nonzero, line_center finite, got {chi}, {line_center}")
     out = []
     for delay, freqs, amps in spectra:
         f = np.asarray(freqs, dtype=float)
@@ -318,6 +318,8 @@ class BackactionModel:
     p0: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.gamma_out, self.gamma_back, self.p0))):
+            raise ConfigError(f"backaction model fields must be finite, got {self}")
         if self.gamma_out < 0.0 or self.gamma_back < 0.0:
             raise ConfigError("rates must be >= 0")
         if self.gamma_out + self.gamma_back >= 1.0:
@@ -458,8 +460,8 @@ def kerr_steady_state(
     otherwise.  At most two Newton steps on the original cubic follow.
     """
     eps = float(drive_amp)
-    if eps < 0.0:
-        raise ConfigError(f"drive amplitude must be >= 0, got {drive_amp}")
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise ConfigError(f"drive amplitude must be finite and >= 0, got {drive_amp}")
     c = complex_rate(params, state, chi_source)
     if eps == 0.0:
         return 0.0

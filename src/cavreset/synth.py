@@ -46,8 +46,8 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if self.kind not in NOISE_KINDS:
             raise ConfigError(f"noise kind must be one of {NOISE_KINDS}, got {self.kind!r}")
-        if self.sigma < 0.0:
-            raise ConfigError(f"sigma must be >= 0, got {self.sigma}")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0.0):
+            raise ConfigError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.shots < 1:
             raise ConfigError(f"shots must be >= 1, got {self.shots}")
 
@@ -97,17 +97,11 @@ def gen_backaction_sequence(
     model: BackactionModel,
     m_max: int,
     noise: NoiseSpec = NoiseSpec.none(),
-    stride: int = 1,
 ) -> list[tuple[int, float]]:
-    """(m, P_m) samples for m = 1, 1+stride, ... up to m_max.
-
-    stride=2 mirrors reporting every second measurement cycle.
-    """
+    """(m, P_m) samples for every measurement cycle m = 1, 2, ..., m_max."""
     if m_max < 1:
         raise ConfigError(f"m_max must be >= 1, got {m_max}")
-    if stride < 1:
-        raise ConfigError(f"stride must be >= 1, got {stride}")
-    m = np.arange(1, m_max + 1, stride)
+    m = np.arange(1, m_max + 1)
     probs = noise.apply(backaction_forward(model, m))
     return [(int(mi), float(pi)) for mi, pi in zip(m, probs)]
 
@@ -131,8 +125,8 @@ def gen_spectroscopy(
     Warns:
         PeakOutsideGrid: some shifted center is not bracketed by the grid.
     """
-    if linewidth <= 0.0:
-        raise ConfigError(f"linewidth must be > 0, got {linewidth}")
+    if not (all(map(math.isfinite, (chi, line_center, linewidth))) and linewidth > 0.0):
+        raise ConfigError(f"need finite chi, line_center, linewidth > 0: {chi}, {line_center}, {linewidth}")
     freqs = np.asarray(freq_grid, dtype=float)
     if freqs.size == 0:
         raise ConfigError("freq_grid must be non-empty")

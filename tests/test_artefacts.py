@@ -8,8 +8,9 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cavreset import DeviceParams, Trajectory, read_samples_csv, write_samples_csv
+from cavreset import DeviceParams, DriveSegment, Trajectory, read_samples_csv, write_samples_csv
 from cavreset._artefacts import write_csv, write_json
+from cavreset.cli import _schedule_from_spec
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -106,3 +107,24 @@ def test_device_json_round_trip_is_identity(params):
     for name, value in params.to_dict().items():
         got = getattr(back, name)
         assert (got is None) if value is None else same_bits(value, got)
+
+
+SEGMENTS = st.builds(
+    DriveSegment,
+    amplitude=st.floats(min_value=0.0, allow_infinity=False),
+    phase=FINITE,
+    duration=st.floats(min_value=5e-324, allow_infinity=False),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(SEGMENTS, min_size=1, max_size=10), st.sampled_from(["amp", "amplitude"]))
+def test_schedule_json_round_trip_is_identity(segments, amp_key):
+    """Segments written as `design --mode clear` writes them read back unchanged."""
+    spec = [{amp_key: s.amplitude, "phase": s.phase, "duration": s.duration} for s in segments]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "schedule.json"
+        write_json(path, spec)
+        back = _schedule_from_spec(str(path))
+    assert back.segments == tuple(segments)
+    assert all(same_bits(a.phase, b.phase) for a, b in zip(segments, back))

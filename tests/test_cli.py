@@ -88,6 +88,12 @@ class TestSimulate:
         )
         assert code == 3
 
+    def test_diverging_kerr_run_is_numeric_error(self, tmp_path):
+        cfg = tmp_path / "kerr.json"
+        default_device().with_(kerr_coeff=-500.0).to_json(cfg)
+        sched = '[{"amp": 100, "phase": 0, "duration": 20}]'
+        assert run("simulate", "--config", str(cfg), "--schedule", sched, "--out", str(tmp_path)) == 3
+
     @pytest.mark.parametrize("extra", [(), ("--force-ode",)])
     def test_nan_dt_is_config_error(self, tmp_path, extra):
         code = run(

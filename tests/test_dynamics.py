@@ -12,6 +12,7 @@ from cavreset import (
     ConfigError,
     DriveSegment,
     KerrNotSupported,
+    NonFinite,
     OutOfRange,
     PulseSchedule,
     StepTooLarge,
@@ -28,6 +29,11 @@ from cavreset import (
 from cavreset.dynamics import ode_final_alpha
 
 MHZ_TO_RAD_NS = 2.0 * math.pi * 1e-3
+
+
+def diverging_kerr_run(device):
+    """A Kerr device and a drive whose RK4 run overflows within a nanosecond."""
+    return device.with_(kerr_coeff=-500.0), DriveSegment(100.0, 0.0, 20.0)
 
 
 def two_segment_schedule():
@@ -186,6 +192,14 @@ class TestOde:
         sched = PulseSchedule((DriveSegment(0.01, 0.0, 50.0),))
         with pytest.raises(ConfigError):
             ode_final_alpha(device, sched, 0, dt=math.inf)
+
+    def test_diverging_kerr_run_is_non_finite(self, device):
+        kerr_dev, segment = diverging_kerr_run(device)
+        sched = PulseSchedule((segment,))
+        with pytest.raises(NonFinite):
+            ode_final_alpha(kerr_dev, sched, 0)
+        with pytest.raises(NonFinite, match=r"t = 0\.15"):
+            propagate_ode(kerr_dev, sched, 0)
 
     def test_endpoint_takes_ten_steps_on_short_segments(self, device):
         # 0.3 ns at dt 0.05 gets the 10-step floor: the path at dt 0.03
@@ -507,3 +521,12 @@ class TestRk4Tangent:
 
         with pytest.raises(ConfigError):
             _rk4_tangent(0j, [(0.01, 10.0, 1.0, 1j)], 0.5 * complex_rate(device, 0), -0.01, 0.0)
+
+    def test_diverging_run_is_non_finite(self, device):
+        from cavreset.dynamics import _rk4_tangent
+
+        kerr_dev, segment = diverging_kerr_run(device)
+        segments = [(segment.complex_amplitude, segment.duration, 1.0, 1j)]
+        half_c = 0.5 * complex_rate(kerr_dev, 0)
+        with pytest.raises(NonFinite):
+            _rk4_tangent(0j, segments, half_c, kerr_dev.kerr_coeff * MHZ_TO_RAD_NS, 0.05)

@@ -261,6 +261,14 @@ class TestAcStark:
         with pytest.raises(ConfigError):
             ac_stark_reconstruct([(0.0, freqs, amps)], 0.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("arg", ["chi", "line_center"])
+    def test_non_finite_argument_rejected(self, arg, bad):
+        freqs, amps = self.lorentzian_sweep(-3.0)
+        args = {"chi": -1.4757, "line_center": 0.0, arg: bad}
+        with pytest.raises(ConfigError):
+            ac_stark_reconstruct([(0.0, freqs, amps)], **args)
+
 
 class TestBackactionModel:
     def test_forward_formula(self):
@@ -295,6 +303,13 @@ class TestBackactionModel:
             BackactionModel(gamma_out=-0.1, gamma_back=0.1, p0=1.0)
         with pytest.raises(ConfigError):
             BackactionModel(gamma_out=0.6, gamma_back=0.5, p0=1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["gamma_out", "gamma_back", "p0"])
+    def test_non_finite_field_rejected(self, field, bad):
+        fields = {"gamma_out": 0.01, "gamma_back": 0.01, "p0": 1.0, field: bad}
+        with pytest.raises(ConfigError, match="finite"):
+            BackactionModel(**fields)
 
 
 class TestFitBackaction:
@@ -365,6 +380,12 @@ class TestKerrSteadyState:
     def test_negative_drive_rejected(self, device):
         with pytest.raises(ConfigError):
             kerr_steady_state(device, 0, -0.01)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kerr", [0.0, -0.011])
+    def test_non_finite_drive_rejected(self, device, kerr, bad):
+        with pytest.raises(ConfigError, match="finite"):
+            kerr_steady_state(device.with_(kerr_coeff=kerr), 0, bad)
 
     def test_kerr_softens_response(self, device):
         # negative Kerr pushes the cavity further from resonance here,
