@@ -51,20 +51,9 @@ from .dynamics import (
 from .errors import (
     CavityResetError,
     ConfigError,
-    DegenerateDetuning,
-    DegenerateDuration,
-    DegenerateRates,
-    InsufficientSamples,
-    KerrNotSupported,
-    NonFinite,
-    NonPositiveSample,
     NotConverged,
     NumericError,
-    OutOfRange,
-    PeakAtEdge,
     ScenarioFailed,
-    StepTooLarge,
-    ZeroCoupling,
 )
 from .fitting import (
     BackactionModel,
@@ -119,20 +108,9 @@ __all__ = [
     "ring_up_segment",
     "CavityResetError",
     "ConfigError",
-    "DegenerateDetuning",
-    "DegenerateDuration",
-    "DegenerateRates",
-    "InsufficientSamples",
-    "KerrNotSupported",
-    "NonFinite",
-    "NonPositiveSample",
     "NotConverged",
     "NumericError",
-    "OutOfRange",
-    "PeakAtEdge",
     "ScenarioFailed",
-    "StepTooLarge",
-    "ZeroCoupling",
     "BackactionModel",
     "FitResult",
     "RamseyModel",

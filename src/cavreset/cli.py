@@ -208,9 +208,9 @@ def cmd_map(config: CliConfig, args: argparse.Namespace) -> int:
         config.chi_source,
     )
     out = config.output_dir
-    rmap.write_csv(out / "residual_map.csv")
-    sidecar = rmap.sidecar_dict()
+    sidecar = rmap.sidecar_dict()  # raises NumericError before any file if every cell diverged
     sidecar["provenance"] = config.provenance("map")
+    rmap.write_csv(out / "residual_map.csv")
     write_json(out / "residual_map.json", sidecar)
     print(out / "residual_map.csv")
     return 0

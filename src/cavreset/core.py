@@ -31,7 +31,7 @@ from enum import IntEnum
 from pathlib import Path
 
 from ._artefacts import write_json
-from .errors import ConfigError, DegenerateDetuning, ZeroCoupling
+from .errors import ConfigError, NumericError
 
 TWO_PI = 2.0 * math.pi
 
@@ -182,7 +182,7 @@ def chi_shift(params: DeviceParams, state: QubitState | int, source: str = "form
     the supplied dressed-frequency data instead.
 
     Raises:
-        DegenerateDetuning: a ladder denominator is numerically zero.
+        NumericError: a ladder denominator is numerically zero.
         ConfigError: unknown source, unsupported state, or missing
             measured-shift data.
     """
@@ -204,14 +204,14 @@ def chi_shift(params: DeviceParams, state: QubitState | int, source: str = "form
         return 0.0
     delta = params.qubit_detuning
     if abs(delta) < DEGENERACY_TOL_MHZ:
-        raise DegenerateDetuning("qubit-cavity detuning Delta is zero")
+        raise NumericError("qubit-cavity detuning Delta is zero")
     chi0 = -(g * g) / delta
     if j == QubitState.GROUND:
         return chi0
     # chi_1 = chi_01 - chi_12 with chi_01 = g^2/Delta, chi_12 = 2 g^2/(Delta + eta)
     den12 = delta + params.anharmonicity
     if abs(den12) < DEGENERACY_TOL_MHZ:
-        raise DegenerateDetuning("Delta + eta is zero; chi_12 diverges")
+        raise NumericError("Delta + eta is zero; chi_12 diverges")
     chi01 = (g * g) / delta
     chi12 = 2.0 * (g * g) / den12
     return chi01 - chi12
@@ -246,7 +246,7 @@ def complex_rate(
 def critical_photon_number(params: DeviceParams) -> float:
     """Critical photon number (Delta / 2g)^2 of the dispersive regime."""
     if params.coupling == 0.0:
-        raise ZeroCoupling("critical photon number undefined at g = 0")
+        raise NumericError("critical photon number undefined at g = 0")
     return (params.qubit_detuning / (2.0 * params.coupling)) ** 2
 
 

@@ -43,7 +43,7 @@ from .dynamics import (
     ode_final_alpha,
     propagate,
 )
-from .errors import ConfigError, DegenerateDuration, KerrNotSupported, NonFinite, NotConverged
+from .errors import ConfigError, NotConverged, NumericError
 from .fitting import FitResult, exp_decay_fit
 from .optimize import levenberg_marquardt
 from .pulses import DriveSegment, PulseSchedule, SchemeLabel
@@ -274,12 +274,12 @@ def _require_analytic(
 ) -> None:
     """Raise unless the closed-form reset exists for `state` and the window."""
     if params.kerr_coeff != 0.0:
-        raise KerrNotSupported("analytic reset solution requires kerr_coeff = 0")
+        raise NumericError("analytic reset solution requires kerr_coeff = 0")
     if reset_duration <= 0.0:
         raise ConfigError(f"reset_duration must be > 0, got {reset_duration}")
     c = complex_rate(params, state, chi_source)
     if abs(1.0 - np.exp(0.5 * c * reset_duration)) < 1e-12:
-        raise DegenerateDuration(
+        raise NumericError(
             f"reset window {reset_duration} ns is degenerate for C = {c}"
         )
 
@@ -296,9 +296,9 @@ def sspe_analytic(
     This is the one-state case of the least-squares solve of `sspe_optimize`.
 
     Raises:
-        KerrNotSupported: the closed form does not cover kerr_coeff != 0.
-        DegenerateDuration: the reset window makes the formula's
-            denominator vanish (|1 - e^{dtau C/2}| below 1e-12).
+        NumericError: kerr_coeff != 0, which the closed form does not
+            cover, or the reset window makes the formula's denominator
+            vanish (|1 - e^{dtau C/2}| below 1e-12).
     """
     j = QubitState(state)
     _require_analytic(params, j, reset_duration, chi_source)
@@ -400,11 +400,11 @@ class ResidualMap:
         """(eps_r, phi_r, residual) at the best finite grid cell.
 
         Raises:
-            NonFinite: every cell diverged.
+            NumericError: every cell diverged.
         """
         finite = np.isfinite(self.residual)
         if not finite.any():
-            raise NonFinite("every residual-map cell diverged")
+            raise NumericError("every residual-map cell diverged")
         i, j = np.unravel_index(int(np.argmin(np.where(finite, self.residual, np.inf))), self.residual.shape)
         return (
             float(self.amplitude_axis[i]),
@@ -458,8 +458,9 @@ def residual_map(
     by tile (`_GRID_TILE` cells) through the closed-form segment map of
     `final_alpha` for the linear model, or with a Kerr term through
     `dynamics._rk4_grid` at DESIGN_DT, the array form of the stepper of
-    `ode_final_alpha`.  Diverging Kerr cells come out non-finite.  Cells
-    at or below the 0.1-photon level are listed as the contour set.
+    `ode_final_alpha`.  Diverging Kerr cells come out non-finite, without
+    a numpy warning.  Cells at or below the 0.1-photon level are listed as
+    the contour set.
     """
     j = QubitState(state)
     amps = np.asarray(amp_grid, dtype=float)
@@ -489,9 +490,10 @@ def residual_map(
             return _rk4_grid(alpha_tau, tile, reset_duration, 0.5 * c, kc, DESIGN_DT)
 
     residual = np.empty(drives.size)
-    for start in range(0, drives.size, _GRID_TILE):
-        stop = start + _GRID_TILE
-        residual[start:stop] = np.abs(window_end(drives[start:stop])) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, drives.size, _GRID_TILE):
+            stop = start + _GRID_TILE
+            residual[start:stop] = np.abs(window_end(drives[start:stop])) ** 2
     residual = residual.reshape(amps.size, phases.size)
     cells = [(int(i), int(k)) for i, k in zip(*np.nonzero(residual <= CONTOUR_LEVEL))]
     return ResidualMap(
@@ -513,7 +515,6 @@ class ScalingRow:
 
     beta_n: float
     beta_r: float
-    beta_phi: float
     phase_delta: float
 
 
@@ -528,9 +529,9 @@ def scaling_law_check(
     """Re-solve the reset for scaled readout drives eps_n -> beta * eps_n.
 
     In the linear model the optimal amplitude scales by exactly beta and the
-    phase is unchanged; with a Kerr term the rows report the deviation.
-    The linear route uses the analytic solution so the claim is checked
-    against algebra, not optimizer noise.
+    phase is unchanged, up to roundoff of the least-squares solve; with a
+    Kerr term the rows report the deviation.  phase_delta is the distance
+    of the two reset phases on the circle, in [0, pi].
     """
     if any(b <= 0.0 for b in betas):
         raise ConfigError("betas must be > 0")
@@ -554,7 +555,6 @@ def scaling_law_check(
             ScalingRow(
                 beta_n=float(beta),
                 beta_r=eps_b / eps_ref if eps_ref != 0.0 else math.nan,
-                beta_phi=phi_b / phi_ref if phi_ref != 0.0 else math.nan,
                 phase_delta=delta,
             )
         )

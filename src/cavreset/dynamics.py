@@ -38,7 +38,7 @@ import numpy as np
 
 from ._artefacts import write_csv
 from .core import MHZ_TO_RAD_NS, DeviceParams, QubitState, complex_rate
-from .errors import ConfigError, KerrNotSupported, NonFinite, OutOfRange, StepTooLarge
+from .errors import ConfigError, NumericError
 from .pulses import DriveSegment, PulseSchedule
 
 #: |C_j| below this (rad/ns) is treated as drift-free lossless evolution.
@@ -87,7 +87,7 @@ class Trajectory:
 def photon_number(traj: Trajectory, t: float) -> float:
     """Photon number at time t, interpolating alpha linearly in between samples."""
     if not traj.times[0] <= t <= traj.times[-1]:
-        raise OutOfRange(
+        raise NumericError(
             f"time {t} outside trajectory span [{traj.times[0]}, {traj.times[-1]}]"
         )
     re = np.interp(t, traj.times, traj.alpha.real)
@@ -235,7 +235,7 @@ def _rk4_tangent(alpha0: complex, segments, half_c: complex, kc: float, dt: floa
 
     Raises:
         ConfigError: dt is not finite and > 0.
-        NonFinite: the integration blew up (diverging Kerr trajectory).
+        NumericError: the integration blew up (diverging Kerr trajectory).
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ConfigError(f"dt must be finite and > 0, got {dt}")
@@ -275,7 +275,7 @@ def _rk4_tangent(alpha0: complex, segments, half_c: complex, kc: float, dt: floa
             da = da + sixth_h * (u1 + 2.0 * u2 + 2.0 * u3 + u4)
             db = db + sixth_h * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
     if not (cmath.isfinite(a) and cmath.isfinite(da) and cmath.isfinite(db)):
-        raise NonFinite("cavity amplitude diverged during sensitivity integration")
+        raise NumericError("cavity amplitude diverged during sensitivity integration")
     return a, da, db
 
 
@@ -288,7 +288,7 @@ def final_alpha(
 ) -> complex:
     """Exact endpoint of the linear model after the whole schedule."""
     if params.kerr_coeff != 0.0:
-        raise KerrNotSupported("closed form only covers the linear model; use ode_final_alpha")
+        raise NumericError("closed form only covers the linear model; use ode_final_alpha")
     return _closed_form_end(alpha0, complex_rate(params, state, chi_source), schedule)
 
 
@@ -317,7 +317,7 @@ def propagate_closed_form(
     Only valid for kerr_coeff == 0; use `propagate` to dispatch.
     """
     if params.kerr_coeff != 0.0:
-        raise KerrNotSupported("closed form only covers the linear model; use propagate_ode")
+        raise NumericError("closed form only covers the linear model; use propagate_ode")
     if not sample_dt > 0.0:
         raise ConfigError(f"sample_dt must be > 0, got {sample_dt}")
     c = complex_rate(params, state, chi_source)
@@ -355,8 +355,8 @@ def propagate_ode(
 
     Raises:
         ConfigError: dt is not finite and > 0.
-        StepTooLarge: dt does not give at least 10 steps in every segment.
-        NonFinite: the integration blew up (diverging Kerr trajectory).
+        NumericError: dt does not give at least 10 steps in every segment,
+            or the integration blew up (diverging Kerr trajectory).
     """
     return _propagate_ode_shared(params, (schedule,), state, dt, alpha0, chi_source)[0]
 
@@ -377,13 +377,13 @@ def _propagate_ode_shared(
 
     Raises:
         ConfigError: dt is not finite and > 0, or the first segments differ.
-        StepTooLarge: dt does not give at least 10 steps in every segment.
-        NonFinite: the integration blew up (diverging Kerr trajectory).
+        NumericError: dt does not give at least 10 steps in every segment,
+            or the integration blew up (diverging Kerr trajectory).
     """
     for schedule in schedules:
         shortest = schedule.min_segment_duration
         if dt > shortest / _MIN_STEPS_PER_SEGMENT:
-            raise StepTooLarge(
+            raise NumericError(
                 f"dt = {dt} ns too coarse for a {shortest} ns segment; "
                 f"need dt <= {shortest / _MIN_STEPS_PER_SEGMENT}"
             )
@@ -410,7 +410,7 @@ def _propagate_ode_shared(
         alpha = np.array(values, dtype=complex)
         diverged = ~np.isfinite(alpha)
         if diverged.any():
-            raise NonFinite(f"cavity amplitude diverged at t = {times[diverged.argmax()]} ns")
+            raise NumericError(f"cavity amplitude diverged at t = {times[diverged.argmax()]} ns")
         trajectories.append(Trajectory(times=times, alpha=alpha, qubit_state=QubitState(state)))
     return trajectories
 
@@ -431,14 +431,14 @@ def ode_final_alpha(
 
     Raises:
         ConfigError: dt is not finite and > 0.
-        NonFinite: the integration blew up (diverging Kerr trajectory).
+        NumericError: the integration blew up (diverging Kerr trajectory).
     """
     half_c = 0.5 * complex_rate(params, state, chi_source)
     kc = params.kerr_coeff * MHZ_TO_RAD_NS
     segments = [(seg.complex_amplitude, seg.duration) for seg in schedule]
     a = _rk4(complex(alpha0), segments, half_c, kc, dt)
     if not cmath.isfinite(a):
-        raise NonFinite("cavity amplitude diverged during endpoint integration")
+        raise NumericError("cavity amplitude diverged during endpoint integration")
     return a
 
 

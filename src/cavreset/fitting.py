@@ -30,13 +30,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import MHZ_TO_RAD_NS, DeviceParams, QubitState, complex_rate, qubit_pull
-from .errors import (
-    ConfigError,
-    DegenerateRates,
-    InsufficientSamples,
-    NonPositiveSample,
-    PeakAtEdge,
-)
+from .errors import ConfigError, NumericError
 from .optimize import LMResult, levenberg_marquardt
 
 
@@ -183,11 +177,11 @@ def fit_ramsey(
     Raises:
         ConfigError: a NaN or infinite sample, or fixed rates that no
             RamseyModel accepts.
-        InsufficientSamples: fewer than 10 points or a span under 2/kappa.
+        NumericError: fewer than 10 points or a span under 2/kappa.
     """
     pts = _finite_samples(sorted((float(t), float(s)) for t, s in samples), "Ramsey")
     if len(pts) < 10:
-        raise InsufficientSamples(f"need >= 10 Ramsey samples, got {len(pts)}")
+        raise NumericError(f"need >= 10 Ramsey samples, got {len(pts)}")
     times = np.array([p[0] for p in pts])
     data = np.array([p[1] for p in pts])
     for key in ("gamma2", "chi", "kappa"):
@@ -197,7 +191,7 @@ def fit_ramsey(
     base = RamseyModel(gamma2=fixed["gamma2"], fringe=0.0, chi=fixed["chi"], kappa=fixed["kappa"])
     span = float(times[-1] - times[0])
     if span < 2.0 / fixed["kappa"]:
-        raise InsufficientSamples(
+        raise NumericError(
             f"Ramsey span {span:.4g} us under 2/kappa = {2.0 / fixed['kappa']:.4g} us"
         )
     init = dict(init or {})
@@ -229,16 +223,16 @@ def exp_decay_fit(samples: Sequence[tuple[float, float]]) -> FitResult:
 
     Raises:
         ConfigError: a NaN or infinite sample.
-        NonPositiveSample: any n <= 0 (take the log first elsewhere).
-        InsufficientSamples: fewer than 3 points.
+        NumericError: fewer than 3 points, or any n <= 0 (take the log
+            first elsewhere).
     """
     pts = _finite_samples([(float(t), float(n)) for t, n in samples], "decay")
     if len(pts) < 3:
-        raise InsufficientSamples(f"need >= 3 decay samples, got {len(pts)}")
+        raise NumericError(f"need >= 3 decay samples, got {len(pts)}")
     times = np.array([p[0] for p in pts])
     photons = np.array([p[1] for p in pts])
     if np.any(photons <= 0.0):
-        raise NonPositiveSample("decay fit needs strictly positive photon numbers")
+        raise NumericError("decay fit needs strictly positive photon numbers")
     logs = np.log(photons)
     coeffs = np.polyfit(times, logs, 1)
     slope, intercept = float(coeffs[0]), float(coeffs[1])
@@ -268,8 +262,10 @@ def ac_stark_reconstruct(
     negatives pass through so a broken model shows up in the output.
 
     Raises:
-        PeakAtEdge: a sweep's maximum sits on its first or last point.
-        InsufficientSamples: a sweep has fewer than 5 points.
+        ConfigError: chi or line_center is not finite, chi is zero, or a
+            sweep's arrays differ in length.
+        NumericError: a sweep has fewer than 5 points, or its maximum sits
+            on its first or last point.
     """
     if not (math.isfinite(chi) and chi != 0.0 and math.isfinite(line_center)):
         raise ConfigError(f"chi must be finite and nonzero, line_center finite, got {chi}, {line_center}")
@@ -280,12 +276,12 @@ def ac_stark_reconstruct(
         if f.size != a.size:
             raise ConfigError("frequency and amplitude arrays must match")
         if f.size < 5:
-            raise InsufficientSamples(
+            raise NumericError(
                 f"sweep at delay {delay} has {f.size} points, need >= 5"
             )
         k = int(np.argmax(a))
         if k == 0 or k == f.size - 1:
-            raise PeakAtEdge(
+            raise NumericError(
                 f"sweep at delay {delay} peaks at its {'first' if k == 0 else 'last'} point"
             )
         # vertex of the parabola through the three samples around the max
@@ -330,7 +326,7 @@ class BackactionModel:
         """P_inf = gamma_back / (gamma_out + gamma_back)."""
         total = self.gamma_out + self.gamma_back
         if total == 0.0:
-            raise DegenerateRates("steady state undefined at gamma_out = gamma_back = 0")
+            raise NumericError("steady state undefined at gamma_out = gamma_back = 0")
         return self.gamma_back / total
 
 
@@ -378,13 +374,13 @@ def fit_backaction(samples: Sequence[tuple[float, float]]) -> FitResult:
 
     Raises:
         ConfigError: a NaN or infinite sample.
-        InsufficientSamples: fewer than 5 distinct m values.
+        NumericError: fewer than 5 distinct m values.
     """
     pts = _finite_samples(sorted((float(m), float(p)) for m, p in samples), "backaction")
     m_vals = np.array([p[0] for p in pts])
     p_vals = np.array([p[1] for p in pts])
     if np.unique(m_vals).size < 5:
-        raise InsufficientSamples("need >= 5 distinct measurement indices")
+        raise NumericError("need >= 5 distinct measurement indices")
 
     tail = max(3, m_vals.size // 5)
     p_inf0 = float(np.mean(p_vals[-tail:]))
@@ -520,11 +516,11 @@ def fit_kerr_calibration(
 
     Raises:
         ConfigError: a NaN or infinite value, or a negative V^2.
-        InsufficientSamples: fewer than 6 points.
+        NumericError: fewer than 6 points.
     """
     pts = _finite_samples(sorted((float(v2), float(n)) for v2, n in points), "calibration")
     if len(pts) < 6:
-        raise InsufficientSamples(f"need >= 6 calibration points, got {len(pts)}")
+        raise NumericError(f"need >= 6 calibration points, got {len(pts)}")
     v2 = np.array([p[0] for p in pts])
     n_meas = np.array([p[1] for p in pts])
     if np.any(v2 < 0.0):

@@ -234,8 +234,8 @@ def _fig2_scaling(ctx: _Context) -> None:
     )
     ctx.write_csv(
         "scaling_rows.csv",
-        ["beta_n", "beta_r", "beta_phi", "phase_delta"],
-        [[r.beta_n, r.beta_r, r.beta_phi, r.phase_delta] for r in rows],
+        ["beta_n", "beta_r", "phase_delta"],
+        [[r.beta_n, r.beta_r, r.phase_delta] for r in rows],
     )
     ctx.check_le(
         "scaling_amplitude_ratio",

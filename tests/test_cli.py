@@ -179,6 +179,20 @@ class TestMapCompare:
         assert "grid sizes must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "residual_map.csv").exists()
 
+    def test_fully_diverged_map_is_numeric_error_and_writes_nothing(self, tmp_path, capsys):
+        cfg = tmp_path / "kerr.json"
+        default_device().with_(kerr_coeff=-500.0).to_json(cfg)
+        out = tmp_path / "out"
+        code = run(
+            "map", "--config", str(cfg), "--readout", '{"amp": 0.01, "phase": 0, "duration": 100}',
+            "--reset-duration", "20", "--amp-min", "100", "--amp-max", "200",
+            "--amp-points", "2", "--phase-points", "1", "--out", str(out),
+        )
+        assert code == 3
+        assert capsys.readouterr().err == "error: every residual-map cell diverged\n"
+        assert not (out / "residual_map.csv").exists()
+        assert not (out / "residual_map.json").exists()
+
     def test_compare_outputs(self, tmp_path):
         code = run(
             "compare", "--readout", READOUT, "--reset-duration", "50",
@@ -253,6 +267,28 @@ class TestFit:
         assert run("fit", "decay", "--config", str(cfg), "--data", str(data), "--out", str(tmp_path / "late")) == 0
         payload = json.loads((tmp_path / "late" / "fit_decay.json").read_text())
         assert payload["provenance"]["device"]["kappa"] == pytest.approx(4.054)
+
+
+@pytest.mark.parametrize(
+    ("argv", "rows", "message"),
+    [
+        (("fit", "decay"), [(0.0, 1.0), (1.0, 0.0), (2.0, 0.1)], "decay fit needs strictly positive photon numbers"),
+        (("fit", "ramsey"), [(0.0, 0.1), (1.0, 0.2)], "need >= 10 Ramsey samples, got 2"),
+        (
+            ("simulate", "--schedule", '[{"amp": 0.01, "phase": 0, "duration": 50}]', "--force-ode", "--dt", "100"),
+            None,
+            "dt = 100.0 ns too coarse for a 50.0 ns segment",
+        ),
+    ],
+    ids=["decay-zero-sample", "ramsey-two-rows", "ode-step-too-large"],
+)
+def test_numeric_failures_exit_3_with_their_message(tmp_path, capsys, argv, rows, message):
+    if rows is not None:
+        data = tmp_path / "data.csv"
+        write_samples_csv(data, ["t", "y"], rows)
+        argv = (*argv, "--data", str(data))
+    assert run(*argv, "--out", str(tmp_path / "out")) == 3
+    assert message in capsys.readouterr().err
 
 
 class TestConfigAndCalibrate:

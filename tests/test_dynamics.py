@@ -11,13 +11,11 @@ from hypothesis import strategies as st
 from cavreset import (
     ConfigError,
     DriveSegment,
-    KerrNotSupported,
-    NonFinite,
-    OutOfRange,
+    NumericError,
     PulseSchedule,
-    StepTooLarge,
     Trajectory,
     complex_rate,
+    default_device,
     final_alpha,
     kerr_steady_state,
     photon_number,
@@ -26,6 +24,7 @@ from cavreset import (
     propagate_ode,
     ring_up_segment,
 )
+from cavreset.design import DESIGN_DT
 from cavreset.dynamics import ode_final_alpha
 
 MHZ_TO_RAD_NS = 2.0 * math.pi * 1e-3
@@ -104,12 +103,12 @@ class TestClosedForm:
 
     def test_kerr_rejected(self, device):
         kerr_dev = device.with_(kerr_coeff=-0.011)
-        with pytest.raises(KerrNotSupported):
+        with pytest.raises(NumericError, match=r"closed form only covers the linear model"):
             propagate_closed_form(kerr_dev, two_segment_schedule(), 0)
 
     def test_final_alpha_kerr_rejected(self, device):
         # the closed-form endpoint must not hand back the linear answer
-        with pytest.raises(KerrNotSupported):
+        with pytest.raises(NumericError, match=r"closed form only covers the linear model"):
             final_alpha(device.with_(kerr_coeff=-0.3), two_segment_schedule(), 0)
 
     def test_nan_sample_dt_is_config_error(self, device):
@@ -177,7 +176,7 @@ class TestOde:
 
     def test_step_too_large(self, device):
         sched = PulseSchedule((DriveSegment(0.01, 0.0, 50.0),))
-        with pytest.raises(StepTooLarge):
+        with pytest.raises(NumericError, match=r"too coarse for a 50\.0 ns segment"):
             propagate_ode(device, sched, 0, dt=6.0)
 
     @pytest.mark.parametrize("dt", [math.nan, 0.0, -0.1])
@@ -196,9 +195,9 @@ class TestOde:
     def test_diverging_kerr_run_is_non_finite(self, device):
         kerr_dev, segment = diverging_kerr_run(device)
         sched = PulseSchedule((segment,))
-        with pytest.raises(NonFinite):
+        with pytest.raises(NumericError, match=r"diverged during endpoint integration"):
             ode_final_alpha(kerr_dev, sched, 0)
-        with pytest.raises(NonFinite, match=r"t = 0\.15"):
+        with pytest.raises(NumericError, match=r"t = 0\.15"):
             propagate_ode(kerr_dev, sched, 0)
 
     def test_endpoint_takes_ten_steps_on_short_segments(self, device):
@@ -226,6 +225,39 @@ class TestOde:
         assert n_ode == pytest.approx(n_cubic, rel=1e-6)
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        qubit=st.sampled_from([1, 2]),
+        kappa_scale=st.floats(min_value=0.3, max_value=3.0),
+        chi_source=st.sampled_from(["formula", "measured"]),
+        state=st.sampled_from([0, 1]),
+        photons=st.floats(min_value=0.1, max_value=30.0),
+        readout_phase=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+        readout_duration=st.floats(min_value=20.0, max_value=400.0),
+        window=st.floats(min_value=1.0, max_value=200.0),
+        drive_amp=st.floats(min_value=0.0, max_value=0.2),
+        drive_phase=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    )
+    def test_rk4_equals_closed_form_in_the_linear_limit(
+        self, qubit, kappa_scale, chi_source, state, photons, readout_phase, readout_duration, window,
+        drive_amp, drive_phase,
+    ):
+        """At DESIGN_DT both RK4 branches, kc == 0 and a 1e-18 MHz Kerr term, track the exact map."""
+        base = default_device(qubit)
+        linear = base.with_(kappa=base.kappa * kappa_scale)
+        ring_up = ring_up_segment(linear, state, photons, readout_duration, chi_source)
+        sched = PulseSchedule(
+            (
+                DriveSegment(ring_up.amplitude, readout_phase, readout_duration),
+                DriveSegment(drive_amp, drive_phase, window),
+            )
+        )
+        exact = final_alpha(linear, sched, state, chi_source=chi_source)
+        for params in (linear, linear.with_(kerr_coeff=1e-18)):
+            stepped = ode_final_alpha(params, sched, state, dt=DESIGN_DT, chi_source=chi_source)
+            assert abs(stepped - exact) / max(abs(exact), 1.0) < 1e-11
+
+
 class TestDispatchAndTrajectory:
     def test_propagate_picks_closed_form(self, device):
         sched = two_segment_schedule()
@@ -248,14 +280,14 @@ class TestDispatchAndTrajectory:
 
     def test_photon_number_out_of_range(self, device):
         traj = propagate_closed_form(device, two_segment_schedule(), 0)
-        with pytest.raises(OutOfRange):
+        with pytest.raises(NumericError, match=r"time -1\.0 outside trajectory span"):
             photon_number(traj, -1.0)
-        with pytest.raises(OutOfRange):
+        with pytest.raises(NumericError, match=r"time 10000\.0 outside trajectory span"):
             photon_number(traj, 1e4)
 
     def test_photon_number_nan_is_out_of_range(self, device):
         traj = propagate_closed_form(device, two_segment_schedule(), 0)
-        with pytest.raises(OutOfRange):
+        with pytest.raises(NumericError, match=r"time nan outside trajectory span"):
             photon_number(traj, math.nan)
 
     def test_csv_round_trip(self, device, tmp_path):
@@ -528,5 +560,5 @@ class TestRk4Tangent:
         kerr_dev, segment = diverging_kerr_run(device)
         segments = [(segment.complex_amplitude, segment.duration, 1.0, 1j)]
         half_c = 0.5 * complex_rate(kerr_dev, 0)
-        with pytest.raises(NonFinite):
+        with pytest.raises(NumericError, match=r"diverged during sensitivity integration"):
             _rk4_tangent(0j, segments, half_c, kerr_dev.kerr_coeff * MHZ_TO_RAD_NS, 0.05)

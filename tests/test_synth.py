@@ -10,7 +10,7 @@ from cavreset import (
     ConfigError,
     DriveSegment,
     NoiseSpec,
-    OutOfRange,
+    NumericError,
     PulseSchedule,
     RamseyModel,
     ac_stark_reconstruct,
@@ -162,7 +162,7 @@ class TestSpectroscopy:
     def test_nan_delay_is_out_of_range(self, device):
         traj = self.make_traj(device)
         freq_grid = np.arange(-40.0, 10.0, 0.1)
-        with pytest.raises(OutOfRange):
+        with pytest.raises(NumericError, match=r"time nan outside trajectory span"):
             gen_spectroscopy(traj, -1.4757, 4.0, freq_grid, delays=[0.0, math.nan])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
