@@ -35,8 +35,9 @@ from .core import MHZ_TO_RAD_NS, DeviceParams, QubitState, complex_rate
 from .dynamics import (
     Trajectory,
     _closed_form_end,
+    _gbs_grid,
+    _gbs_steps,
     _propagate_ode_shared,
-    _rk4_grid,
     _rk4_tangent,
     _segment_end_alpha,
     final_alpha,
@@ -57,10 +58,10 @@ DESIGN_DT = 0.05
 #: Trajectory sample spacing of `compare_schemes`, ns.
 _COMPARE_SAMPLE_DT = 0.1
 
-#: Drive cells per tile of a residual map.  The Kerr stepper's nine
-#: buffers then take about 2 MB, one core's L2 cache on a 2-vCPU Xeon,
-#: where a 201x200 Kerr map runs as fast in 4k-cell tiles and about 20 %
-#: slower in one piece.
+#: Drive cells per tile of a residual map.  The Kerr stepper's buffers
+#: then take about 2.9 MB (ten complex, two real).  On a 2-vCPU Xeon with
+#: 2 MB of L2 per core, its cost per cell and macro-step is the same in
+#: 8k- and 16k-cell tiles, and about 25 % higher in 4k- or 32k-cell ones.
 _GRID_TILE = 16384
 
 #: Photons at or below which a one-state Kerr design has found its zero;
@@ -174,13 +175,21 @@ def _least_squares_drive(
     Jacobian.
 
     Returns (x, converged, objective evaluations).
+
+    Raises:
+        NumericError: some x_k moves a target's end field by less than 1e-12
+            times the window length (normal windows: about 1 times).
     """
     if params.kerr_coeff == 0.0:
+        undriven = reset(np.zeros(2))
+        window = undriven.total_duration
         rows, rhs = [], []
         for j in targets:
             c = complex_rate(params, j, chi_source)
-            free = _closed_form_end(ends[j], c, reset(np.zeros(2)))
+            free = _closed_form_end(ends[j], c, undriven)
             cols = [_closed_form_end(0j, c, reset(e)) for e in np.eye(2)]
+            if min(abs(b) for b in cols) < 1e-12 * window:
+                raise NumericError(f"reset window {window} ns is degenerate for C = {c}")
             rows += [[b.real for b in cols], [b.imag for b in cols]]
             rhs += [-free.real, -free.imag]
         x, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
@@ -452,15 +461,16 @@ def residual_map(
 ) -> ResidualMap:
     """|alpha_j(dtau)|^2 over the Cartesian (amplitude, phase) grid.
 
-    Each cell is the end field of the (readout, reset) schedule, computed
-    by the same code as the single-schedule paths.  The readout endpoint is
-    shared, so only the window varies: the flattened drive grid goes tile
-    by tile (`_GRID_TILE` cells) through the closed-form segment map of
-    `final_alpha` for the linear model, or with a Kerr term through
-    `dynamics._rk4_grid` at DESIGN_DT, the array form of the stepper of
-    `ode_final_alpha`.  Diverging Kerr cells come out non-finite, without
-    a numpy warning.  Cells at or below the 0.1-photon level are listed as
-    the contour set.
+    Each cell is the end field of the (readout, reset) schedule.  The
+    readout endpoint is shared, so only the window varies: the flattened
+    drive grid goes tile by tile (`_GRID_TILE` cells) through the
+    closed-form segment map of `final_alpha` for the linear model, or with
+    a Kerr term through `dynamics._gbs_grid` at one macro-step for the
+    whole map, set from its largest drive; no cell depends on the tiling.
+    Kerr cells match `ode_final_alpha` at DESIGN_DT to roundoff on smooth
+    windows and beat it on stiff ones.  Diverging Kerr cells come out
+    non-finite, without a numpy warning.  Cells at or below the 0.1-photon
+    level are listed as the contour set.
     """
     j = QubitState(state)
     amps = np.asarray(amp_grid, dtype=float)
@@ -485,9 +495,10 @@ def residual_map(
     else:
         alpha_tau = ode_final_alpha(params, readout_sched, j, dt=DESIGN_DT, chi_source=chi_source)
         kc = params.kerr_coeff * MHZ_TO_RAD_NS
+        steps = _gbs_steps(alpha_tau, float(amps.max()), reset_duration, c, kc)
 
         def window_end(tile: np.ndarray) -> np.ndarray:
-            return _rk4_grid(alpha_tau, tile, reset_duration, 0.5 * c, kc, DESIGN_DT)
+            return _gbs_grid(alpha_tau, tile, reset_duration, 0.5 * c, kc, steps)
 
     residual = np.empty(drives.size)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -101,6 +101,14 @@ class TestAnalytic:
 
 
 class TestOptimizer:
+    @pytest.mark.parametrize("kerr,states", [(0.0, 0), (0.0, (0, 1)), (-0.011, 0)])
+    def test_degenerate_window_raises(self, device, kerr, states):
+        # a lossless cavity over one detuning period of state 0: no drive moves its end field
+        lossless = device.with_(kappa=0.0, kerr_coeff=kerr)
+        window = 2.0 * math.pi / abs(complex_rate(lossless, 0).imag / 2.0)
+        with pytest.raises(NumericError, match=r"reset window .* is degenerate"):
+            sspe_optimize(lossless, states, DriveSegment(0.01, 0.0, 900.0), window)
+
     def test_recovers_analytic_solution(self, device, readout):
         analytic = sspe_analytic(device, 0, readout, RESET)
         numeric = sspe_optimize(device, 0, readout, RESET)

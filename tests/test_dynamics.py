@@ -394,21 +394,6 @@ class TestInlineRk4:
         expected = _closure_rk4(0j, _segments(sched), half_c, kerr * MHZ_TO_RAD_NS, dt)
         assert ode_final_alpha(dev, sched, 1, dt=dt, alpha0=0j) == expected
 
-    def test_kerr_residual_map_cells(self, device):
-        from cavreset.design import DESIGN_DT, residual_map
-
-        dev = device.with_(kerr_coeff=-0.2)
-        readout = DriveSegment(0.03, 0.4, 200.0)
-        amps = np.linspace(0.0, 0.08, 7)
-        phases = np.linspace(0.0, 2.0 * math.pi, 6, endpoint=False)
-        grid = residual_map(dev, 0, readout, 20.0, amps, phases)
-        half_c = 0.5 * complex_rate(dev, 0)
-        kc = dev.kerr_coeff * MHZ_TO_RAD_NS
-        alpha_tau = _closure_rk4(0j, [(readout.complex_amplitude, readout.duration)], half_c, kc, DESIGN_DT)
-        drives = amps[:, None] * np.exp(1j * phases[None, :])
-        expected = np.abs(_closure_rk4(alpha_tau, [(drives, 20.0)], half_c, kc, DESIGN_DT)) ** 2
-        assert np.array_equal(grid.residual, expected)
-
 
 class TestGridTiles:
     """Residual maps go tile by tile through the drive grid; no bit depends on the tiling."""
@@ -419,9 +404,8 @@ class TestGridTiles:
         return np.linspace(0.0, amp_max, na), np.linspace(0.0, 2.0 * math.pi, nphi, endpoint=False)
 
     def _untiled(self, dev, state, window, amps, phases):
-        """The whole-grid array forms: closed form, or `_closure_rk4` at DESIGN_DT."""
-        from cavreset.design import DESIGN_DT
-        from cavreset.dynamics import _segment_end_alpha
+        """The whole grid in one call: closed form, or the extrapolation stepper."""
+        from cavreset.dynamics import _gbs_grid, _gbs_steps, _segment_end_alpha
 
         c = complex_rate(dev, state)
         drives = amps[:, None] * np.exp(1j * phases[None, :])
@@ -430,9 +414,9 @@ class TestGridTiles:
             end = _segment_end_alpha(alpha_tau, c, drives, window)
         else:
             kc = dev.kerr_coeff * MHZ_TO_RAD_NS
-            readout = _segments(PulseSchedule((self.readout,)))
-            alpha_tau = _closure_rk4(0j, readout, 0.5 * c, kc, DESIGN_DT)
-            end = _closure_rk4(alpha_tau, [(drives, window)], 0.5 * c, kc, DESIGN_DT)
+            alpha_tau = ode_final_alpha(dev, PulseSchedule((self.readout,)), state, dt=DESIGN_DT)
+            steps = _gbs_steps(alpha_tau, float(amps.max()), window, c, kc)
+            end = _gbs_grid(alpha_tau, drives, window, 0.5 * c, kc, steps)
         return np.abs(end) ** 2
 
     @staticmethod
@@ -464,7 +448,7 @@ class TestGridTiles:
         amps, phases = self._axes(129, 128)
         assert 128 * 128 == _GRID_TILE < amps.size * phases.size
         dev = device.with_(kerr_coeff=kerr)
-        rmap = residual_map(dev, 0, self.readout, 0.5, amps, phases)  # 10 RK4 steps
+        rmap = residual_map(dev, 0, self.readout, 0.5, amps, phases)
         assert self._same_bits(rmap.residual, self._untiled(dev, 0, 0.5, amps, phases))
 
     @pytest.mark.parametrize("kerr", [0.0, -0.2])
@@ -488,12 +472,22 @@ class TestGridTiles:
         assert finite.any() and not finite.all()
         assert np.array_equal(rmap.residual, expected, equal_nan=True)
 
-    @pytest.mark.parametrize("dt", [math.nan, 0.0])
-    def test_invalid_dt_is_config_error(self, device, dt):
-        from cavreset.dynamics import _rk4_grid
+    def test_strong_drive_stops_at_the_step_floor(self, device, monkeypatch):
+        # at the floor a macro-step costs about as much as RK4 at 0.05 ns:
+        # a 5000 rad/ns drive makes a map slow, never hang
+        from cavreset import design, dynamics
 
-        with pytest.raises(ConfigError):
-            _rk4_grid(0j, np.full(3, 0.01 + 0j), 10.0, 0.5 * complex_rate(device, 0), -0.01, dt)
+        steps = []
+
+        def spy(alpha0, drives, duration, half_c, kc, n):
+            steps.append(n)
+            return dynamics._gbs_grid(alpha0, drives, duration, half_c, kc, n)
+
+        monkeypatch.setattr(design, "_gbs_grid", spy)
+        amps, phases = np.array([0.0, 5000.0]), np.array([0.0, 2.0])
+        dev = device.with_(kerr_coeff=-0.2)
+        design.residual_map(dev, 0, self.readout, 20.0, amps, phases)
+        assert steps and max(steps) <= math.ceil(20.0 / dynamics._GBS_MIN_STEP)
 
 
 class TestRk4Tangent:

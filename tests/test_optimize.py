@@ -188,9 +188,14 @@ class TestModelJacobians:
 
 def test_import_does_not_load_scipy():
     # scipy.optimize takes most of a second to import; only the first fit or
-    # Kerr design of a process may pay for it
+    # Kerr design of a process may pay for it.  No thread or process pool
+    # (concurrent.futures) loads at import either: perfbench's setup_s
+    # times `import cavreset` in a fresh process
     src = Path(cavreset.__file__).resolve().parents[1]
-    code = "import sys, cavreset; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = (
+        "import sys, cavreset; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent')))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code],
         env={"PYTHONPATH": str(src)},
