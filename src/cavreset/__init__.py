@@ -31,12 +31,10 @@ from .design import (
     ResidualMap,
     SchemeComparison,
     SchemeMetrics,
-    SolutionMode,
     clear_optimize,
     compare_schemes,
     residual_map,
     scaling_law_check,
-    sspe_analytic,
     sspe_optimize,
 )
 from .dynamics import (
@@ -92,12 +90,10 @@ __all__ = [
     "ResidualMap",
     "SchemeComparison",
     "SchemeMetrics",
-    "SolutionMode",
     "clear_optimize",
     "compare_schemes",
     "residual_map",
     "scaling_law_check",
-    "sspe_analytic",
     "sspe_optimize",
     "Trajectory",
     "final_alpha",

@@ -37,7 +37,6 @@ from .design import (
     clear_optimize,
     compare_schemes,
     residual_map,
-    sspe_analytic,
     sspe_optimize,
 )
 from .dynamics import propagate
@@ -110,6 +109,8 @@ def _segment_from_spec(spec: object, what: str) -> DriveSegment:
         )
     except KeyError as exc:
         raise ConfigError(f"{what} needs a duration") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what} needs numbers for amp, phase and duration: {exc}") from exc
 
 
 def _schedule_from_spec(text: str) -> PulseSchedule:
@@ -156,23 +157,10 @@ def cmd_design(config: CliConfig, args: argparse.Namespace) -> int:
     states = [QubitState(s) for s in args.states]
     payload: dict = {"provenance": config.provenance("design"), "mode": args.mode}
     if args.mode == "sspe":
-        solutions = []
-        if config.device.kerr_coeff == 0.0 and len(states) == 1:
-            solutions.append(
-                sspe_analytic(
-                    config.device, states[0], readout, args.reset_duration, config.chi_source
-                )
-            )
-        numeric = sspe_optimize(
-            config.device,
-            states,
-            readout,
-            args.reset_duration,
-            chi_source=config.chi_source,
-        )
-        numeric.require_converged()
-        solutions.append(numeric)
-        payload["solutions"] = [s.to_dict() for s in solutions]
+        solution = sspe_optimize(
+            config.device, states, readout, args.reset_duration, chi_source=config.chi_source
+        ).require_converged()
+        payload["solutions"] = [solution.to_dict()]
     else:
         schedule = clear_optimize(
             config.device, states, readout, args.reset_duration, chi_source=config.chi_source
@@ -244,7 +232,11 @@ def _fit_payload(config: CliConfig, kind: str, result) -> int:
 
 
 def cmd_fit(config: CliConfig, args: argparse.Namespace) -> int:
-    rows = read_samples_csv(args.data)
+    pairs = []
+    for i, row in enumerate(read_samples_csv(args.data), 1):
+        if len(row) < 2:
+            raise ConfigError(f"{args.data}: data row {i} has {len(row)} value(s), need 2")
+        pairs.append(row[:2])
     device = config.device
     if args.fit_kind == "ramsey":
         model = RamseyModel.from_device(device, config.chi_source)
@@ -254,18 +246,13 @@ def cmd_fit(config: CliConfig, args: argparse.Namespace) -> int:
             "kappa": model.kappa if args.kappa is None else args.kappa,
         }
         init = {"fringe": args.fringe_init, "phi0": args.phi0_init, "n0": args.n0_init}
-        result = fit_ramsey([(r[0], r[1]) for r in rows], fixed, init)
+        result = fit_ramsey(pairs, fixed, init)
     elif args.fit_kind == "backaction":
-        result = fit_backaction([(r[0], r[1]) for r in rows])
+        result = fit_backaction(pairs)
     elif args.fit_kind == "decay":
-        result = exp_decay_fit([(r[0], r[1]) for r in rows])
+        result = exp_decay_fit(pairs)
     else:
-        result = fit_kerr_calibration(
-            [(r[0], r[1]) for r in rows],
-            device,
-            QubitState(args.state),
-            config.chi_source,
-        )
+        result = fit_kerr_calibration(pairs, device, QubitState(args.state), config.chi_source)
     return _fit_payload(config, args.fit_kind, result)
 
 
@@ -376,7 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="solve for reset segment(s) returning the cavity to vacuum",
         description="Design a reset drive for the given readout segment. Durations in ns, "
-        "amplitudes rad/ns. Emits the analytic and the optimized solution when both apply.",
+        "amplitudes rad/ns. sspe writes one single-segment solution (exact least squares "
+        "in the linear model, Levenberg-Marquardt with a Kerr term); clear writes the "
+        "two-segment schedule.",
     )
     p.add_argument("--mode", choices=["sspe", "clear"], default="sspe")
     p.add_argument(
@@ -490,27 +479,19 @@ def _load_config(args: argparse.Namespace) -> CliConfig:
     )
 
 
+#: Exit code of each error class, first match first; other errors exit 2.
+_EXIT_CODES = ((ConfigError, 2), (NotConverged, 4), (NumericError, 3), (ScenarioFailed, 1))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         config = _load_config(args)
         return int(args.func(config, args) or 0)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NotConverged as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ScenarioFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except CavityResetError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next((code for cls, code in _EXIT_CODES if isinstance(exc, cls)), 2)
 
 
 if __name__ == "__main__":

@@ -6,25 +6,25 @@ vacuum exactly in the linear model; the closed form is
 
     eps_r e^{i phi_r} = eps_n e^{i phi_n} (1 - e^{-tau C_j/2}) / (1 - e^{dtau C_j/2}),
 
-one complex condition solved by one complex drive.  Because every end
-field of the linear model is affine in the reset drive, the joint design
-for both qubit states (the photon sum over both) and the two-segment
-baseline are linear least-squares problems with exact solutions too.  With a Kerr term no
-closed form exists: Levenberg-Marquardt polishes the same residual vector
-on RK4 endpoints, starting from the linear optimum, with the exact
-Jacobian of the RK4 map from the sensitivity pass of `dynamics`.  Every
-design integrates the readout once per qubit state and continues each
-reset window from that end field.  This module provides
-both routes, plus residual-landscape maps, an amplitude-scaling check, and
-a three-way comparison against square-pulse free decay and a two-segment
-active baseline.
+one complex condition solved by one complex drive.  Every end field of the
+linear model is affine in the reset drive, so one least-squares solve
+gives that drive for one state, the joint drive for both states (the photon
+sum over both) and the two-segment baseline, all exactly.  With a Kerr
+term no closed form exists: Levenberg-Marquardt polishes the same residual
+vector on RK4 endpoints, starting from the linear optimum, with the exact
+Jacobian of the RK4 map from the sensitivity pass of `dynamics`.
+`sspe_optimize` is the one entry point for the single-segment reset and
+`clear_optimize` for the two-segment baseline.  Every design integrates
+the readout once per qubit state and continues each reset window from that
+end field.  The module also provides residual-landscape maps, an
+amplitude-scaling check, and a three-way comparison against square-pulse
+free decay and the two-segment baseline.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-from enum import Enum
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -69,11 +69,6 @@ _GRID_TILE = 16384
 _REACHED_ZERO = 1e-12
 
 
-class SolutionMode(str, Enum):
-    PER_STATE = "per_state"
-    JOINT = "joint"
-
-
 def _normalize_states(states: QubitState | int | Iterable[QubitState | int]) -> tuple[QubitState, ...]:
     if isinstance(states, (QubitState, int)):
         states = [states]
@@ -93,7 +88,6 @@ class ResetSolution:
     readout: DriveSegment
     residual_photons: Mapping[QubitState, float]
     target_states: tuple[QubitState, ...]
-    mode: SolutionMode
     method: str
     converged: bool
     iterations: int
@@ -226,7 +220,6 @@ def _sspe_solution(
     readout: DriveSegment,
     reset_duration: float,
     chi_source: str,
-    method: str,
     ends: Mapping[QubitState, complex],
 ) -> ResetSolution:
     """Best single reset segment for the targets; x = (Re, Im) of the drive.
@@ -271,48 +264,10 @@ def _sspe_solution(
         readout=readout,
         residual_photons=residual,
         target_states=targets,
-        mode=SolutionMode.PER_STATE if len(targets) == 1 else SolutionMode.JOINT,
-        method=method,
+        method="numeric",
         converged=converged,
         iterations=evaluations,
     )
-
-
-def _require_analytic(
-    params: DeviceParams, state: QubitState, reset_duration: float, chi_source: str
-) -> None:
-    """Raise unless the closed-form reset exists for `state` and the window."""
-    if params.kerr_coeff != 0.0:
-        raise NumericError("analytic reset solution requires kerr_coeff = 0")
-    if reset_duration <= 0.0:
-        raise ConfigError(f"reset_duration must be > 0, got {reset_duration}")
-    c = complex_rate(params, state, chi_source)
-    if abs(1.0 - np.exp(0.5 * c * reset_duration)) < 1e-12:
-        raise NumericError(
-            f"reset window {reset_duration} ns is degenerate for C = {c}"
-        )
-
-
-def sspe_analytic(
-    params: DeviceParams,
-    state: QubitState | int,
-    readout: DriveSegment,
-    reset_duration: float,
-    chi_source: str = "formula",
-) -> ResetSolution:
-    """Exact linear-model reset drive for one qubit state.
-
-    This is the one-state case of the least-squares solve of `sspe_optimize`.
-
-    Raises:
-        NumericError: kerr_coeff != 0, which the closed form does not
-            cover, or the reset window makes the formula's denominator
-            vanish (|1 - e^{dtau C/2}| below 1e-12).
-    """
-    j = QubitState(state)
-    _require_analytic(params, j, reset_duration, chi_source)
-    ends = _readout_ends(params, readout, QubitState, chi_source)
-    return _sspe_solution(params, (j,), readout, reset_duration, chi_source, "analytic", ends)
 
 
 def sspe_optimize(
@@ -339,7 +294,28 @@ def sspe_optimize(
     if reset_duration <= 0.0:
         raise ConfigError(f"reset_duration must be > 0, got {reset_duration}")
     ends = _readout_ends(params, readout, QubitState, chi_source)
-    return _sspe_solution(params, targets, readout, reset_duration, chi_source, "numeric", ends)
+    return _sspe_solution(params, targets, readout, reset_duration, chi_source, ends)
+
+
+def sspe_analytic(
+    params: DeviceParams,
+    state: QubitState | int,
+    readout: DriveSegment,
+    reset_duration: float,
+    chi_source: str = "formula",
+) -> ResetSolution:
+    """`sspe_optimize` for one state of a linear device, labelled "analytic".
+
+    Kept only for `perfbench/ops.py`, which calls it and checks results of
+    this label against its exact reference at 1e-20 photons; package code
+    calls `sspe_optimize`.
+
+    Raises:
+        NumericError: kerr_coeff != 0.
+    """
+    if params.kerr_coeff != 0.0:
+        raise NumericError("analytic reset solution requires kerr_coeff = 0")
+    return replace(sspe_optimize(params, state, readout, reset_duration, chi_source), method="analytic")
 
 
 def _clear_schedule(
@@ -549,10 +525,7 @@ def scaling_law_check(
     j = QubitState(state)
 
     def solve(segment: DriveSegment) -> tuple[float, float]:
-        if params.kerr_coeff == 0.0:
-            sol = sspe_analytic(params, j, segment, reset_duration, chi_source)
-        else:
-            sol = sspe_optimize(params, j, segment, reset_duration, chi_source=chi_source)
+        sol = sspe_optimize(params, j, segment, reset_duration, chi_source)
         return sol.reset_amplitude, sol.reset_phase
 
     eps_ref, phi_ref = solve(readout)
@@ -688,11 +661,7 @@ def compare_schemes(
 
     entries: dict[tuple[str, QubitState], SchemeMetrics] = {}
     for j in targets:
-        if linear:
-            _require_analytic(params, j, reset_duration, chi_source)
-        sol = _sspe_solution(
-            params, (j,), readout, reset_duration, chi_source, "analytic" if linear else "numeric", ends
-        )
+        sol = _sspe_solution(params, (j,), readout, reset_duration, chi_source, ends)
         schedules = {
             SchemeLabel.SQUARE.value: square,
             SchemeLabel.SSPE.value: sol.schedule(),

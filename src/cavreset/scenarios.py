@@ -35,7 +35,7 @@ from .design import (
     compare_schemes,
     residual_map,
     scaling_law_check,
-    sspe_analytic,
+    sspe_optimize,
 )
 from .dynamics import (
     final_alpha,
@@ -169,7 +169,7 @@ def _fig1_maps(ctx: _Context) -> None:
     readout = ctx.readout()
     solutions = {}
     for j in (QubitState.GROUND, QubitState.EXCITED):
-        sol = sspe_analytic(params, j, readout, RESET_DURATION, ctx.chi_source)
+        sol = sspe_optimize(params, j, readout, RESET_DURATION, ctx.chi_source)
         solutions[j] = sol
         ctx.check_le(
             f"exact_reset_state{int(j)}",
@@ -300,7 +300,7 @@ def _fig3_dynamics(ctx: _Context) -> None:
     """Reset dynamics: exact-vs-ODE agreement, scheme comparison, ac-Stark."""
     params = ctx.params
     readout = ctx.readout()
-    sol0 = sspe_analytic(params, QubitState.GROUND, readout, RESET_DURATION, ctx.chi_source)
+    sol0 = sspe_optimize(params, QubitState.GROUND, readout, RESET_DURATION, ctx.chi_source)
     schedule = sol0.schedule()
 
     cf = propagate_closed_form(params, schedule, QubitState.GROUND, sample_dt=0.01, chi_source=ctx.chi_source)

@@ -41,6 +41,13 @@ def all_reports(tmp_path_factory):
     return root, run_all(out_root=root, seed=0, raise_on_fail=False)
 
 
+@pytest.fixture(scope="session")
+def measured_reports(tmp_path_factory):
+    """(out_root, reports) of one `run_all` at seed 0 with measured dispersive shifts."""
+    root = tmp_path_factory.mktemp("scenarios_measured")
+    return root, run_all(out_root=root, seed=0, chi_source="measured", raise_on_fail=False)
+
+
 def central_difference_jacobian(residuals, params):
     """Jacobian d r_i / d p_j by symmetric differences: the reference that
     the exact Jacobians of the least-squares models are checked against.

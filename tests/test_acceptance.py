@@ -36,7 +36,7 @@ from cavreset import (
     propagate_ode,
     ring_up_segment,
     run_all,
-    sspe_analytic,
+    sspe_optimize,
 )
 
 MHZ_TO_RAD_NS = 2.0 * math.pi * 1e-3
@@ -52,7 +52,7 @@ def report(num: int, passed: bool, detail: str) -> None:
 
 
 def reset_schedule(state=0):
-    sol = sspe_analytic(DEVICE, state, READOUT, RESET)
+    sol = sspe_optimize(DEVICE, state, READOUT, RESET)
     return PulseSchedule((READOUT, sol.segment()))
 
 
@@ -76,7 +76,7 @@ def test_criterion_01_closed_form_matches_ode():
 
 def test_criterion_02_analytic_reset_is_exact():
     residuals = [
-        float(sspe_analytic(DEVICE, state, READOUT, RESET).residual_photons[state])
+        float(sspe_optimize(DEVICE, state, READOUT, RESET).residual_photons[state])
         for state in (0, 1)
     ]
     ok = all(r < 1e-20 for r in residuals)
@@ -89,12 +89,12 @@ def test_criterion_02_analytic_reset_is_exact():
 
 
 def test_criterion_03_amplitude_scaling_law():
-    base = sspe_analytic(DEVICE, 0, READOUT, RESET)
+    base = sspe_optimize(DEVICE, 0, READOUT, RESET)
     worst_ratio = 0.0
     worst_phase = 0.0
     for beta in (0.25, 0.5, 1.0, 2.0, 4.0):
         scaled_readout = DriveSegment(READOUT.amplitude * beta, READOUT.phase, READOUT.duration)
-        sol = sspe_analytic(DEVICE, 0, scaled_readout, RESET)
+        sol = sspe_optimize(DEVICE, 0, scaled_readout, RESET)
         ratio = sol.reset_amplitude / (base.reset_amplitude * beta)
         worst_ratio = max(worst_ratio, abs(ratio - 1.0))
         dphi = abs(sol.reset_phase - base.reset_phase)

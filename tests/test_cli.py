@@ -61,6 +61,13 @@ class TestSimulate:
         )
         both = '[{"amp": 0.1, "amplitude": 0.1, "duration": 50}]'
         assert run("simulate", "--schedule", both, "--out", str(tmp_path)) == 2
+        for bad in ('"x"', "null", "[1]", "1" + "0" * 400):  # the last overflows float()
+            for key in ("amp", "phase", "duration"):
+                seg = {"amp": "0.01", "phase": "0", "duration": "50", key: bad}
+                spec = "[{" + ", ".join(f'"{k}": {v}' for k, v in seg.items()) + "}]"
+                assert run("simulate", "--schedule", spec, "--out", str(tmp_path)) == 2, spec
+        long = '[{"amp": 0.01, "duration": "long"}]'
+        assert run("simulate", "--schedule", long, "--out", str(tmp_path)) == 2
 
     def test_design_output_feeds_back_into_simulate(self, tmp_path):
         # design JSON spells the key "amplitude"; simulate must accept it.
@@ -110,17 +117,25 @@ class TestSimulate:
 
 
 class TestDesign:
-    def test_sspe_reports_both_methods(self, tmp_path):
+    def test_sspe_reports_one_solution(self, tmp_path):
         code = run(
             "design", "--mode", "sspe", "--readout", READOUT,
             "--reset-duration", "50", "--out", str(tmp_path),
         )
         assert code == 0
         payload = json.loads((tmp_path / "design_sspe.json").read_text())
-        methods = [s["method"] for s in payload["solutions"]]
-        assert methods == ["analytic", "numeric"]
-        amps = [s["reset_amplitude"] for s in payload["solutions"]]
-        assert amps[0] == pytest.approx(amps[1], rel=1e-6)
+        (solution,) = payload["solutions"]
+        assert solution["method"] == "numeric"
+        assert solution["target_states"] == [0]
+        assert solution["reset_amplitude"] == pytest.approx(0.03947849508018339, rel=1e-10)
+        assert solution["residual_photons"]["0"] < 1e-20
+
+    @pytest.mark.parametrize("amp", ['"x"', "null"])
+    def test_malformed_readout_is_config_error(self, tmp_path, capsys, amp):
+        readout = f'{{"amp": {amp}, "phase": 0, "duration": 900}}'
+        code = run("design", "--readout", readout, "--reset-duration", "50", "--out", str(tmp_path))
+        assert code == 2
+        assert "readout needs numbers for amp, phase and duration" in capsys.readouterr().err
 
     def test_clear_schedule(self, tmp_path):
         code = run(
@@ -240,6 +255,16 @@ class TestFit:
         data = tmp_path / "nan.csv"
         data.write_text("t_ns,n\n0.0,1.0\nnan,0.5\n2.0,0.25\n")
         assert run("fit", "decay", "--data", str(data), "--out", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize(
+        ("text", "row"), [("t,S\n1\n2\n", 1), ("t,S\n0,1\n1\n2,0.5\n", 2)], ids=["one-column", "ragged"]
+    )
+    def test_short_csv_row_is_config_error(self, tmp_path, capsys, text, row):
+        data = tmp_path / "short.csv"
+        data.write_text(text)
+        assert run("fit", "decay", "--data", str(data), "--out", str(tmp_path / "out")) == 2
+        assert f"data row {row} has 1 value(s), need 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_data_file_is_config_error(self, tmp_path):
         assert run("fit", "decay", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path)) in (2,)

@@ -1,6 +1,7 @@
 """Reset drive design: closed form, optimizer, maps, scheme comparison."""
 
 import cmath
+import dataclasses
 import json
 import math
 
@@ -13,7 +14,7 @@ from cavreset import (
     NotConverged,
     NumericError,
     PulseSchedule,
-    SolutionMode,
+    QubitState,
     clear_optimize,
     compare_schemes,
     complex_rate,
@@ -22,10 +23,9 @@ from cavreset import (
     residual_map,
     ring_up_segment,
     scaling_law_check,
-    sspe_analytic,
     sspe_optimize,
 )
-from cavreset.design import DESIGN_DT
+from cavreset.design import DESIGN_DT, sspe_analytic
 from cavreset.dynamics import ode_final_alpha
 
 MHZ_TO_RAD_NS = 2.0 * math.pi * 1e-3
@@ -33,21 +33,23 @@ RESET = 50.0
 
 
 class TestAnalytic:
+    """The one-state linear solve of `sspe_optimize`: the closed form."""
+
     def test_exact_for_ground(self, device, readout):
-        sol = sspe_analytic(device, 0, readout, RESET)
+        sol = sspe_optimize(device, 0, readout, RESET)
         assert sol.residual_photons[0] < 1e-20
-        assert sol.method == "analytic"
+        assert sol.method == "numeric"
         assert sol.converged
 
     def test_exact_for_excited(self, device, readout):
-        sol = sspe_analytic(device, 1, readout, RESET)
+        sol = sspe_optimize(device, 1, readout, RESET)
         assert sol.residual_photons[1] < 1e-20
 
     def test_frozen_solution_values(self, device, readout):
-        sol0 = sspe_analytic(device, 0, readout, RESET)
+        sol0 = sspe_optimize(device, 0, readout, RESET)
         assert sol0.reset_amplitude == pytest.approx(0.03947849508018339, rel=1e-10)
         assert sol0.reset_phase == pytest.approx(1.8609065627414016, rel=1e-10)
-        sol1 = sspe_analytic(device, 1, readout, RESET)
+        sol1 = sspe_optimize(device, 1, readout, RESET)
         assert sol1.reset_amplitude == pytest.approx(sol0.reset_amplitude, rel=1e-9)
         assert sol1.reset_phase == pytest.approx(4.42227874443785, rel=1e-10)
 
@@ -58,16 +60,16 @@ class TestAnalytic:
         expected = drive * (1.0 - cmath.exp(-0.5 * readout.duration * c)) / (
             1.0 - cmath.exp(0.5 * RESET * c)
         )
-        sol = sspe_analytic(device, 0, readout, RESET)
+        sol = sspe_optimize(device, 0, readout, RESET)
         got = sol.reset_amplitude * cmath.exp(1j * sol.reset_phase)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_wrong_state_left_hot(self, device, readout):
-        sol = sspe_analytic(device, 0, readout, RESET)
+        sol = sspe_optimize(device, 0, readout, RESET)
         assert sol.residual_photons[1] > 1.0  # the other state stays far from vacuum
 
     def test_schedule_round_trip(self, device, readout):
-        sol = sspe_analytic(device, 0, readout, RESET)
+        sol = sspe_optimize(device, 0, readout, RESET)
         sched = sol.schedule()
         assert len(sched) == 2
         assert sched.total_duration == pytest.approx(readout.duration + RESET)
@@ -75,7 +77,7 @@ class TestAnalytic:
 
     def test_amplitude_shrinks_with_longer_window(self, device, readout):
         amps = [
-            sspe_analytic(device, 0, readout, dtau).reset_amplitude
+            sspe_optimize(device, 0, readout, dtau).reset_amplitude
             for dtau in (25.0, 50.0, 100.0, 200.0)
         ]
         assert all(a > b for a, b in zip(amps, amps[1:]))
@@ -86,17 +88,11 @@ class TestAnalytic:
 
     def test_nonpositive_duration_rejected(self, device, readout):
         with pytest.raises(ConfigError):
-            sspe_analytic(device, 0, readout, 0.0)
-
-    def test_degenerate_duration_lossless(self, device, readout):
-        lossless = device.with_(kappa=0.0)
-        delta = complex_rate(lossless, 0).imag / 2.0
-        with pytest.raises(NumericError, match=r"reset window .* is degenerate"):
-            sspe_analytic(lossless, 0, readout, 2.0 * math.pi / abs(delta))
+            sspe_optimize(device, 0, readout, 0.0)
 
     def test_zero_readout_needs_no_drive(self, device):
         silent = DriveSegment(0.0, 0.0, 900.0)
-        sol = sspe_analytic(device, 0, silent, RESET)
+        sol = sspe_optimize(device, 0, silent, RESET)
         assert sol.reset_amplitude == pytest.approx(0.0, abs=1e-15)
 
 
@@ -110,17 +106,16 @@ class TestOptimizer:
             sspe_optimize(lossless, states, DriveSegment(0.01, 0.0, 900.0), window)
 
     def test_recovers_analytic_solution(self, device, readout):
+        # sspe_analytic is sspe_optimize under another method label
         analytic = sspe_analytic(device, 0, readout, RESET)
         numeric = sspe_optimize(device, 0, readout, RESET)
         assert numeric.converged
-        assert numeric.method == "numeric"
-        assert numeric.reset_amplitude == pytest.approx(analytic.reset_amplitude, rel=1e-6)
-        assert numeric.reset_phase == pytest.approx(analytic.reset_phase, abs=1e-6)
-        assert numeric.residual_photons[0] < 1e-6
+        assert (analytic.method, numeric.method) == ("analytic", "numeric")
+        assert dataclasses.replace(analytic, method="numeric") == numeric
 
     def test_joint_mode_balances_states(self, device, readout):
         joint = sspe_optimize(device, (0, 1), readout, RESET)
-        assert joint.mode is SolutionMode.JOINT
+        assert joint.target_states == (QubitState.GROUND, QubitState.EXCITED)
         r0 = joint.residual_photons[0]
         r1 = joint.residual_photons[1]
         assert r0 > 0.1 and r1 > 0.1  # no single drive empties both states
@@ -128,8 +123,8 @@ class TestOptimizer:
         def weighted(sol):
             return 0.5 * (sol.residual_photons[0] + sol.residual_photons[1])
 
-        assert weighted(joint) < weighted(sspe_analytic(device, 0, readout, RESET))
-        assert weighted(joint) < weighted(sspe_analytic(device, 1, readout, RESET))
+        assert weighted(joint) < weighted(sspe_optimize(device, 0, readout, RESET))
+        assert weighted(joint) < weighted(sspe_optimize(device, 1, readout, RESET))
 
     def test_kerr_device_optimizes(self, device, readout):
         kerr_dev = device.with_(kerr_coeff=-0.011)
@@ -249,7 +244,7 @@ class TestResidualMap:
 
     def test_minimum_near_analytic(self, device, readout):
         rmap = self.make(device, readout, amps=61, phases=64)
-        sol = sspe_analytic(device, 0, readout, RESET)
+        sol = sspe_optimize(device, 0, readout, RESET)
         eps, phi, val = rmap.minimum()
         d_amp = rmap.amplitude_axis[1] - rmap.amplitude_axis[0]
         d_phi = rmap.phase_axis[1] - rmap.phase_axis[0]

@@ -2,18 +2,83 @@
 
 import filecmp
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
 
 from cavreset import (
+    CHI_SOURCES,
     SCENARIO_NAMES,
     ConfigError,
     ScenarioFailed,
     default_device,
+    run_all,
     run_scenario,
 )
 from cavreset.scenarios import derive_seeds
+
+#: Every assertion's measured value and every numeric note of
+#: `scenario all --seed 0`, per chi source.  Regenerate with
+#: `PYTHONPATH=src python tests/test_scenarios.py`.
+GOLDEN = Path(__file__).with_name("golden_scenarios.json")
+
+#: Relative tolerance of a golden value.
+GOLDEN_REL = 1e-9
+
+#: Values that are roundoff or a difference of close numbers, with the scale
+#: of the numbers they are taken from; the tolerance is GOLDEN_REL times it.
+GOLDEN_SCALES = {
+    # photons left by an exact reset: roundoff of a 5-photon readout
+    "exact_reset_state0": 5.0,
+    "exact_reset_state1": 5.0,
+    "sspe_residual_end": 5.0,
+    "clear_residual_end": 5.0,
+    # deviations relative to 1, or in rad
+    "scaling_amplitude_ratio": 1.0,
+    "scaling_phase_invariance": 1.0,
+    "closed_form_ode_agreement": 1.0,
+    "ac_stark_round_trip": 1.0,
+    "kerr_cubic_vs_ode": 1.0,
+    # fitted photons minus the truth, of order 1 photon
+    "ramsey_noiseless_n0_0": 1.0,
+    "ramsey_noisy_max_error": 1.0,
+    "ramsey_noisy_median_bias": 1.0,
+    # fitted rates minus the truth, per measurement
+    "backaction_binomial_relaxation": 0.0722,
+    "backaction_binomial_excitation": 0.0005,
+    # Kerr fitted on a Kerr-free device, kHz, next to the -11 kHz case
+    "kerr_fit_null_case_khz": 11.0,
+}
+
+
+def golden_values(reports):
+    """{scenario: {name: value}}: measured values, then notes as notes.<key>[.<sub>]."""
+    out = {}
+    for scenario, report in reports.items():
+        values = {a.name: a.measured for a in report.assertions}
+        for key, note in report.notes.items():
+            if isinstance(note, dict):
+                values.update({f"notes.{key}.{sub}": float(v) for sub, v in note.items()})
+            else:
+                values[f"notes.{key}"] = float(note)
+        out[scenario] = values
+    return out
+
+
+def golden_mismatches(fresh, golden):
+    """One line per value that is off its golden value or found on one side only."""
+    bad = []
+    for scenario in sorted(fresh.keys() | golden.keys()):
+        got, want = fresh.get(scenario, {}), golden.get(scenario, {})
+        for name in sorted(got.keys() | want.keys()):
+            if name not in got or name not in want:
+                bad.append(f"{scenario}:{name} is missing on one side")
+                continue
+            tol = GOLDEN_REL * max(abs(want[name]), GOLDEN_SCALES.get(name, 0.0))
+            if not abs(got[name] - want[name]) <= tol:
+                bad.append(f"{scenario}:{name} = {got[name]!r}, golden {want[name]!r}")
+    return bad
 
 
 class TestAllScenarios:
@@ -61,6 +126,14 @@ class TestAllScenarios:
         for name in reports:
             text = (Path(root) / name / "report.json").read_text()
             assert str(root) not in text
+
+
+@pytest.mark.parametrize("source", CHI_SOURCES)
+def test_golden_values(request, source):
+    fixture = "all_reports" if source == "formula" else "measured_reports"
+    _, reports = request.getfixturevalue(fixture)
+    golden = json.loads(GOLDEN.read_text())[source]
+    assert golden_mismatches(golden_values(reports), golden) == []
 
 
 class TestReproducibility:
@@ -111,3 +184,12 @@ class TestFailureHandling:
         bad = default_device().with_(t1=20.0)
         report = run_scenario("fig4_backaction", params=bad, out_root=tmp_path, raise_on_fail=False)
         assert not report.passed
+
+
+if __name__ == "__main__":
+    golden = {}
+    for source in CHI_SOURCES:
+        with tempfile.TemporaryDirectory() as root:
+            golden[source] = golden_values(run_all(out_root=root, seed=0, chi_source=source, raise_on_fail=False))
+    GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
+    print(GOLDEN)
