@@ -100,15 +100,15 @@ def _segment_from_spec(spec: object, what: str) -> DriveSegment:
         raise ConfigError(f"{what} has unknown key(s) {sorted(unknown)}")
     if "amp" in spec and "amplitude" in spec:
         raise ConfigError(f"{what} has both amp and amplitude")
-    amp = spec.get("amp", spec.get("amplitude", 0.0))
+    if "duration" not in spec:
+        raise ConfigError(f"{what} needs a duration")
+    values = (spec.get("amp", spec.get("amplitude", 0.0)), spec.get("phase", 0.0), spec["duration"])
+    # float(True) is 1.0, so a JSON boolean would pass as a number
+    if any(isinstance(v, bool) for v in values):
+        raise ConfigError(f"{what} needs numbers for amp, phase and duration, not true or false")
     try:
-        return DriveSegment(
-            amplitude=float(amp),
-            phase=float(spec.get("phase", 0.0)),
-            duration=float(spec["duration"]),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"{what} needs a duration") from exc
+        amplitude, phase, duration = (float(v) for v in values)
+        return DriveSegment(amplitude=amplitude, phase=phase, duration=duration)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{what} needs numbers for amp, phase and duration: {exc}") from exc
 

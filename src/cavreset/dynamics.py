@@ -23,7 +23,10 @@ the Kerr reset design takes its residuals and their exact Jacobian from
 it.  A Kerr residual map integrates its window, one trajectory per drive
 cell, with `_gbs_grid`: order-8 extrapolation on numpy arrays at a step
 set from the field's fastest rate.  It matches `_rk4` at dt = 0.05 ns to
-roundoff on smooth windows and beats it on stiff ones.
+roundoff on smooth windows and beats it on stiff ones.  The six 4000 ns
+ring-ups of the appC_calibration scenario share one `_gbs_grid` call;
+their endpoints agree with DOP853 to 5.0e-14 of max(|alpha|, 1), where
+`_rk4` at 0.05 ns gives 5.2e-14.
 """
 
 from __future__ import annotations

@@ -61,7 +61,8 @@ class TestSimulate:
         )
         both = '[{"amp": 0.1, "amplitude": 0.1, "duration": 50}]'
         assert run("simulate", "--schedule", both, "--out", str(tmp_path)) == 2
-        for bad in ('"x"', "null", "[1]", "1" + "0" * 400):  # the last overflows float()
+        # "1" followed by 400 zeros overflows float(); float(true) would be 1.0
+        for bad in ('"x"', "null", "[1]", "1" + "0" * 400, "true", "false"):
             for key in ("amp", "phase", "duration"):
                 seg = {"amp": "0.01", "phase": "0", "duration": "50", key: bad}
                 spec = "[{" + ", ".join(f'"{k}": {v}' for k, v in seg.items()) + "}]"
@@ -355,6 +356,14 @@ class TestScenarioCommand:
         cfg = tmp_path / "short_t1.json"
         default_device().with_(t1=20.0).to_json(cfg)
         assert run("scenario", "fig4_backaction", "--config", str(cfg), "--out", str(tmp_path)) == 1
+
+    def test_kerr_device_is_config_error(self, tmp_path):
+        # the scenarios' closed forms and fits assume a linear device
+        cfg = tmp_path / "kerr.json"
+        default_device().with_(kerr_coeff=-0.2).to_json(cfg)
+        out = tmp_path / "out"
+        assert run("scenario", "all", "--config", str(cfg), "--out", str(out)) == 2
+        assert not out.exists()
 
     def test_unknown_scenario_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as err:

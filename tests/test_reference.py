@@ -20,9 +20,10 @@ import numpy as np
 import pytest
 
 from cavreset import DriveSegment, PulseSchedule, default_device, sspe_optimize
-from cavreset.core import MHZ_TO_RAD_NS, complex_rate
+from cavreset.core import MHZ_TO_RAD_NS, complex_rate, critical_photon_number
 from cavreset.design import DESIGN_DT
 from cavreset.dynamics import _gbs_grid, _gbs_steps, ode_final_alpha
+from cavreset.scenarios import _ring_up_ends
 
 _SPEC = importlib.util.spec_from_file_location(
     "cavreset_reference", Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
@@ -135,3 +136,18 @@ def test_kerr_design_endpoint():
     alpha = ode_final_alpha(dev, sol.schedule(), 0, dt=DESIGN_DT)
     assert abs(alpha) ** 2 == sol.residual_photons[0]
     assert gap(alpha, ref.endpoint(refdev, 0, CHI, segments)) <= SMOOTH
+
+
+@pytest.mark.parametrize("duration", [400.0, 4000.0])
+@pytest.mark.parametrize("source", ["formula", "measured"])
+def test_appc_ring_up_ladder(source, duration):
+    # appC_calibration's photon ladder from vacuum at K_c = -0.011 MHz.  Its
+    # 4000 ns ring-ups end within 1e-9 of the fixed point, which every
+    # consistent stepper keeps, so 400 ns, mid ring-up, shows stepper errors.
+    base = default_device()
+    dev = base.with_(kerr_coeff=-0.011)
+    refdev = dataclasses.asdict(dev)
+    ladder = [1.0, 5.0, 10.0, 15.0, 20.0, 0.8 * critical_photon_number(base)]
+    eps, ends = _ring_up_ends(dev, 0, ladder, duration, source)
+    for drive, end in zip(eps, ends):
+        assert gap(end, ref.endpoint(refdev, 0, source, [(complex(drive), duration)])) <= SMOOTH
