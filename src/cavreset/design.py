@@ -622,7 +622,7 @@ def reset_window_rate(
     keep = photons > floor
     if int(keep.sum()) < 3:
         return None
-    return exp_decay_fit(list(zip(times[keep], photons[keep])))
+    return exp_decay_fit(np.column_stack((times[keep], photons[keep])))
 
 
 def compare_schemes(

@@ -14,7 +14,8 @@ Plus the steady-state response of the weakly nonlinear cavity, the lowest
 root of a real cubic in closed form, which anchors the drive-voltage
 calibration fit; that fit starts from one linear least-squares solve.
 
-Every fit rejects NaN or infinite samples with ConfigError.
+Every fit rejects samples that are not finite (x, y) pairs with ConfigError;
+the ac-Stark peak is a parabola vertex in closed form.
 
 Units here follow the data they fit: Ramsey times in us with angular rates
 in rad/us; decay samples in ns with rates returned in ordinary MHz;
@@ -72,13 +73,20 @@ def _lm_fit(
     )
 
 
-def _finite_samples(
-    pts: Sequence[tuple[float, float]], what: str
-) -> Sequence[tuple[float, float]]:
-    """pts unchanged, or ConfigError if any value is NaN or infinite."""
-    if not all(math.isfinite(x) and math.isfinite(y) for x, y in pts):
+def _sample_columns(pts: Sequence[tuple[float, float]], what: str, sort: bool = True) -> np.ndarray:
+    """Rows x and y of the samples, sorted by x and then y if sort; ConfigError unless finite pairs."""
+    try:
+        arr = np.array(pts, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} samples must be (x, y) pairs: {exc}") from exc
+    arr = arr.reshape(0, 2) if arr.size == 0 else arr
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ConfigError(f"{what} samples must be (x, y) pairs, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
         raise ConfigError(f"{what} samples must be finite, got NaN or infinity")
-    return pts
+    if sort:
+        arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
+    return np.ascontiguousarray(arr.T)
 
 
 # -- Ramsey ------------------------------------------------------------------
@@ -175,15 +183,13 @@ def fit_ramsey(
     square root.
 
     Raises:
-        ConfigError: a NaN or infinite sample, or fixed rates that no
-            RamseyModel accepts.
+        ConfigError: a sample that is not a finite pair, or fixed rates
+            that no RamseyModel accepts.
         NumericError: fewer than 10 points or a span under 2/kappa.
     """
-    pts = _finite_samples(sorted((float(t), float(s)) for t, s in samples), "Ramsey")
-    if len(pts) < 10:
-        raise NumericError(f"need >= 10 Ramsey samples, got {len(pts)}")
-    times = np.array([p[0] for p in pts])
-    data = np.array([p[1] for p in pts])
+    times, data = _sample_columns(samples, "Ramsey")
+    if times.size < 10:
+        raise NumericError(f"need >= 10 Ramsey samples, got {times.size}")
     for key in ("gamma2", "chi", "kappa"):
         if key not in fixed:
             raise ConfigError(f"fixed parameters must include {key}")
@@ -222,15 +228,13 @@ def exp_decay_fit(samples: Sequence[tuple[float, float]]) -> FitResult:
     divided by 2*pi*1e-3), matching how cavity decay rates are quoted.
 
     Raises:
-        ConfigError: a NaN or infinite sample.
+        ConfigError: a sample that is not a finite (t, n) pair.
         NumericError: fewer than 3 points, or any n <= 0 (take the log
             first elsewhere).
     """
-    pts = _finite_samples([(float(t), float(n)) for t, n in samples], "decay")
-    if len(pts) < 3:
-        raise NumericError(f"need >= 3 decay samples, got {len(pts)}")
-    times = np.array([p[0] for p in pts])
-    photons = np.array([p[1] for p in pts])
+    times, photons = _sample_columns(samples, "decay", sort=False)
+    if times.size < 3:
+        raise NumericError(f"need >= 3 decay samples, got {times.size}")
     if np.any(photons <= 0.0):
         raise NumericError("decay fit needs strictly positive photon numbers")
     logs = np.log(photons)
@@ -284,12 +288,12 @@ def ac_stark_reconstruct(
             raise NumericError(
                 f"sweep at delay {delay} peaks at its {'first' if k == 0 else 'last'} point"
             )
-        # vertex of the parabola through the three samples around the max
-        quad = np.polyfit(f[k - 1 : k + 2], a[k - 1 : k + 2], 2)
-        if quad[0] == 0.0:
-            peak_freq = float(f[k])
-        else:
-            peak_freq = float(-quad[1] / (2.0 * quad[0]))
+        # vertex of a0 + d1 (x - x0) + curv (x - x0)(x - x1), the parabola through
+        # the three samples around the max in divided differences
+        (x0, x1, x2), (a0, a1, a2) = f[k - 1 : k + 2].tolist(), a[k - 1 : k + 2].tolist()
+        d1 = (a1 - a0) / (x1 - x0)
+        curv = ((a2 - a1) / (x2 - x1) - d1) / (x2 - x0)
+        peak_freq = float(f[k]) if curv == 0.0 else 0.5 * (x0 + x1) - 0.5 * d1 / curv
         n = (peak_freq - line_center) / (2.0 * chi)
         if -0.05 <= n < 0.0:
             n = 0.0
@@ -373,12 +377,10 @@ def fit_backaction(samples: Sequence[tuple[float, float]]) -> FitResult:
     steady state pinned to the constant.
 
     Raises:
-        ConfigError: a NaN or infinite sample.
+        ConfigError: a sample that is not a finite (m, P) pair.
         NumericError: fewer than 5 distinct m values.
     """
-    pts = _finite_samples(sorted((float(m), float(p)) for m, p in samples), "backaction")
-    m_vals = np.array([p[0] for p in pts])
-    p_vals = np.array([p[1] for p in pts])
+    m_vals, p_vals = _sample_columns(samples, "backaction")
     if np.unique(m_vals).size < 5:
         raise NumericError("need >= 5 distinct measurement indices")
 
@@ -515,14 +517,12 @@ def fit_kerr_calibration(
     the algebraic estimate is biased under noise.
 
     Raises:
-        ConfigError: a NaN or infinite value, or a negative V^2.
+        ConfigError: a point that is not a finite pair, or a negative V^2.
         NumericError: fewer than 6 points.
     """
-    pts = _finite_samples(sorted((float(v2), float(n)) for v2, n in points), "calibration")
-    if len(pts) < 6:
-        raise NumericError(f"need >= 6 calibration points, got {len(pts)}")
-    v2 = np.array([p[0] for p in pts])
-    n_meas = np.array([p[1] for p in pts])
+    v2, n_meas = _sample_columns(points, "calibration")
+    if v2.size < 6:
+        raise NumericError(f"need >= 6 calibration points, got {v2.size}")
     if np.any(v2 < 0.0):
         raise ConfigError("squared voltages must be >= 0")
 

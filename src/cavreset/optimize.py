@@ -1,14 +1,16 @@
 """Least-squares machinery shared by the pulse-design and fit code.
 
-One entry point, `levenberg_marquardt(model, p0)`, wraps the MINPACK
-Levenberg-Marquardt of scipy (Moré 1978).  Every model returns its
-residuals and their exact Jacobian from one evaluation: the fits in
-`fitting` differentiate their formulas, and the Kerr route of the reset
-design takes the RK4 map's Jacobian from the sensitivity pass of
-`dynamics`.  The wrapper keeps the last evaluation and hands its Jacobian
-back when the solver asks for it at the same point, so no point is
-evaluated twice.  scipy is imported on the first call, so importing the
-package does not load it.
+One entry point, `levenberg_marquardt(model, p0)`, runs MINPACK's
+Levenberg-Marquardt `lmder` (Moré 1978) through scipy's `leastsq`, with the
+arguments `least_squares(method="lm")` passes to the same call, so the
+iterates match it bit for bit without its per-evaluation bookkeeping
+(before scipy 1.16 only with `x_scale="jac"`: the default was `diag = 1`).
+Every model returns its residuals and their exact Jacobian from one
+evaluation: the fits in `fitting` differentiate their formulas, and the
+Kerr route of the reset design takes the RK4 map's Jacobian from the
+sensitivity pass of `dynamics`.  The wrapper keeps the last evaluation, so
+no point is evaluated twice.  scipy is imported on the first call, so
+importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ def levenberg_marquardt(
     `model(p)` returns the residuals r_i and the Jacobian d r_i / d p_j at
     p.  `nfev` counts residual evaluations, at most _MAX_NFEV.
     """
-    from scipy.optimize import least_squares
+    from scipy.optimize import leastsq
 
     last: dict = {}
 
@@ -68,22 +70,17 @@ def levenberg_marquardt(
             last["key"], last["value"] = key, model(p)
         return last["value"]
 
-    res = least_squares(
-        lambda p: evaluate(p)[0],
-        np.asarray(p0, dtype=float),
-        jac=lambda p: evaluate(p)[1],
-        method="lm",
-        xtol=1e-14,
-        ftol=1e-14,
-        gtol=1e-14,
-        max_nfev=_MAX_NFEV,
+    x, _, info, message, ier = leastsq(
+        lambda p: evaluate(p)[0], np.asarray(p0, dtype=float), Dfun=lambda p: evaluate(p)[1],
+        full_output=True, ftol=1e-14, xtol=1e-14, gtol=1e-14, maxfev=_MAX_NFEV,
     )
+    residuals, jac = evaluate(x)
     return LMResult(
-        params=res.x,
-        cost=float(res.cost),
-        residuals=res.fun,
-        jac=res.jac,
-        nfev=int(res.nfev),
-        success=bool(res.success),
-        message=str(res.message),
+        params=x,
+        cost=0.5 * float(np.dot(residuals, residuals)),
+        residuals=residuals,
+        jac=jac,
+        nfev=int(info["nfev"]),
+        success=ier in (1, 2, 3, 4),
+        message=message,
     )

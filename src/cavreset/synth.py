@@ -90,7 +90,7 @@ def gen_ramsey_dataset(
     if t.size == 0:
         raise ConfigError("times must be non-empty")
     signal = noise.apply(ramsey_forward(model, t))
-    return [(float(ti), float(si)) for ti, si in zip(t, signal)]
+    return list(zip(t.tolist(), signal.tolist()))
 
 
 def gen_backaction_sequence(
@@ -103,7 +103,7 @@ def gen_backaction_sequence(
         raise ConfigError(f"m_max must be >= 1, got {m_max}")
     m = np.arange(1, m_max + 1)
     probs = noise.apply(backaction_forward(model, m))
-    return [(int(mi), float(pi)) for mi, pi in zip(m, probs)]
+    return list(zip(m.tolist(), probs.tolist()))
 
 
 def gen_spectroscopy(
@@ -130,15 +130,18 @@ def gen_spectroscopy(
     freqs = np.asarray(freq_grid, dtype=float)
     if freqs.size == 0:
         raise ConfigError("freq_grid must be non-empty")
-    if delays is None:
-        delays = traj.times
+    delays = np.asarray(traj.times if delays is None else delays, dtype=float)
+    outside = ~((traj.times[0] <= delays) & (delays <= traj.times[-1]))
+    if outside.any():
+        photon_number(traj, float(delays[outside][0]))  # raises with its own message
+    # photon_number's arithmetic, for every delay at once
+    re, im = (np.interp(delays, traj.times, part) for part in (traj.alpha.real, traj.alpha.imag))
     rng = noise.generator()
     half = 0.5 * linewidth
     f_lo, f_hi = float(np.min(freqs)), float(np.max(freqs))
 
     out = []
-    for delay in delays:
-        n = photon_number(traj, float(delay))
+    for delay, n in zip(delays.tolist(), (re * re + im * im).tolist()):
         center = line_center + 2.0 * chi * n
         if center < f_lo or center > f_hi:
             warnings.warn(
@@ -149,7 +152,7 @@ def gen_spectroscopy(
             )
         amps = 1.0 / (1.0 + ((freqs - center) / half) ** 2)
         amps = noise.apply(amps, rng)
-        out.append((float(delay), freqs.copy(), amps))
+        out.append((delay, freqs.copy(), amps))
     return out
 
 

@@ -267,6 +267,32 @@ class TestAcStark:
             ac_stark_reconstruct([(0.0, freqs, amps)], **args)
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        x0=st.floats(1.0, 100.0),
+        gaps=st.tuples(st.floats(0.01, 10.0), st.floats(0.01, 10.0)),
+        where=st.floats(0.0, 1.0),
+        curvature=st.floats(1e-3, 1e3),
+    )
+    def test_vertex_of_a_sampled_parabola(self, x0, gaps, where, curvature):
+        # unevenly spaced samples of a concave parabola whose vertex lies
+        # between the second and fourth: any three of them fix the vertex
+        x2 = x0 + gaps[0] + gaps[1]
+        vertex = x0 + where * (x2 - x0)
+        freqs = np.array([x0 - gaps[1], x0, x0 + gaps[0], x2, x2 + gaps[0]])
+        amps = -curvature * (freqs - vertex) ** 2
+        k = int(np.argmax(amps))
+        [(_, peak)] = ac_stark_reconstruct([(0.0, freqs, amps)], 0.5, 0.0)
+        assert abs(peak - vertex) <= 1e-9 * (freqs[k + 1] - freqs[k - 1])
+
+    def test_flat_top_returns_the_maximum_sample(self):
+        # amplitude steps that underflow over the spacing leave no curvature
+        freqs = np.array([5.0, 15.0, 25.0, 35.0, 45.0])
+        amps = np.array([0.0, 5e-324, 1e-323, 5e-324, 0.0])
+        [(_, peak)] = ac_stark_reconstruct([(0.0, freqs, amps)], 0.5, 0.0)
+        assert peak == 25.0
+
+
 class TestBackactionModel:
     def test_forward_formula(self):
         model = BackactionModel(gamma_out=0.0722, gamma_back=0.01, p0=1.0)
@@ -542,3 +568,42 @@ class TestFitKerrCalibration:
         pts[3] = (pts[3][0], float("nan"))
         with pytest.raises(ConfigError):
             fit_kerr_calibration(pts, device)
+
+
+class TestSampleShape:
+    """Every fit takes (x, y) pairs and nothing else."""
+
+    def fits(self, device):
+        return {
+            "ramsey": lambda samples: fit_ramsey(samples, fixed_for(device)),
+            "backaction": fit_backaction,
+            "decay": exp_decay_fit,
+            "kerr_calibration": lambda samples: fit_kerr_calibration(samples, device),
+        }
+
+    @pytest.mark.parametrize("fit", ["ramsey", "backaction", "decay", "kerr_calibration"])
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            [(float(i), 0.5, 0.1) for i in range(12)],
+            [(float(i),) for i in range(12)],
+            [(float(i), 0.5) for i in range(11)] + [(11.0,)],
+        ],
+        ids=["triples", "singles", "ragged"],
+    )
+    def test_rows_that_are_not_pairs_rejected(self, device, fit, samples):
+        with pytest.raises(ConfigError, match=r"\(x, y\) pairs"):
+            self.fits(device)[fit](samples)
+
+    @pytest.mark.parametrize(
+        "fit, message",
+        [
+            ("ramsey", r"need >= 10 Ramsey samples, got 0"),
+            ("backaction", r"need >= 5 distinct measurement indices"),
+            ("decay", r"need >= 3 decay samples, got 0"),
+            ("kerr_calibration", r"need >= 6 calibration points, got 0"),
+        ],
+    )
+    def test_empty_samples_are_too_few(self, device, fit, message):
+        with pytest.raises(NumericError, match=message):
+            self.fits(device)[fit]([])

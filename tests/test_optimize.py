@@ -9,7 +9,7 @@ import pytest
 from conftest import central_difference_jacobian
 
 import cavreset
-from cavreset.optimize import levenberg_marquardt
+from cavreset.optimize import _MAX_NFEV, levenberg_marquardt
 
 
 class TestJacobian:
@@ -138,14 +138,17 @@ def _kerr_design(states):
     return design
 
 
+_LM_RUNNERS = pytest.mark.parametrize(
+    "run",
+    [_ramsey_fit, _backaction_fit, _kerr_calibration_fit, _kerr_design(0), _kerr_design((0, 1))],
+    ids=["ramsey", "backaction", "kerr_calibration", "kerr_design", "kerr_design_joint"],
+)
+
+
 class TestModelJacobians:
     """Every model handed to LM returns the Jacobian of its own residuals."""
 
-    @pytest.mark.parametrize(
-        "run",
-        [_ramsey_fit, _backaction_fit, _kerr_calibration_fit, _kerr_design(0), _kerr_design((0, 1))],
-        ids=["ramsey", "backaction", "kerr_calibration", "kerr_design", "kerr_design_joint"],
-    )
+    @_LM_RUNNERS
     def test_matches_central_differences_at_every_visited_point(self, device, readout, run, monkeypatch):
         import cavreset.design
         import cavreset.fitting
@@ -184,6 +187,45 @@ class TestModelJacobians:
         residuals, jac = at_sum_one[0]
         assert np.isfinite(residuals).all()
         assert np.isfinite(jac).all()
+
+
+class TestMinpackRoute:
+    """`leastsq` makes the MINPACK call of `least_squares(method="lm")`."""
+
+    @_LM_RUNNERS
+    def test_matches_least_squares_bit_for_bit(self, device, readout, run, monkeypatch):
+        import cavreset.design
+        import cavreset.fitting
+        from scipy.optimize import least_squares
+
+        calls = []
+
+        def spy(model, p0):
+            calls.append((model, p0))
+            return levenberg_marquardt(model, p0)
+
+        monkeypatch.setattr(cavreset.fitting, "levenberg_marquardt", spy)
+        monkeypatch.setattr(cavreset.design, "levenberg_marquardt", spy)
+        run(device, readout)
+        assert calls
+        for model, p0 in calls:
+            ours = levenberg_marquardt(model, p0)
+            # x_scale="jac" is MINPACK's diag = None, the default only from scipy 1.16 on
+            ref = least_squares(
+                lambda p: model(p)[0],
+                np.asarray(p0, dtype=float),
+                jac=lambda p: model(p)[1],
+                method="lm",
+                x_scale="jac",
+                xtol=1e-14,
+                ftol=1e-14,
+                gtol=1e-14,
+                max_nfev=_MAX_NFEV,
+            )
+            assert ours.params.tolist() == ref.x.tolist()
+            assert ours.cost == ref.cost
+            assert ours.nfev == ref.nfev
+            assert ours.success == ref.success
 
 
 def test_import_does_not_load_scipy():

@@ -18,6 +18,7 @@ from cavreset import (
     gen_backaction_sequence,
     gen_ramsey_dataset,
     gen_spectroscopy,
+    photon_number,
     propagate,
     ramsey_forward,
     read_samples_csv,
@@ -164,6 +165,22 @@ class TestSpectroscopy:
         freq_grid = np.arange(-40.0, 10.0, 0.1)
         with pytest.raises(NumericError, match=r"time nan outside trajectory span"):
             gen_spectroscopy(traj, -1.4757, 4.0, freq_grid, delays=[0.0, math.nan])
+
+    @pytest.mark.parametrize("noise", [NoiseSpec.none(), NoiseSpec.gaussian(0.02, seed=7)], ids=["none", "gaussian"])
+    def test_matches_per_delay_photon_number(self, device, noise):
+        traj = self.make_traj(device)
+        chi, line_center = -1.4757, 0.5
+        freq_grid = np.arange(-40.0, 10.0, 0.1)
+        delays = np.linspace(0.0, 1199.0, 37)  # on and between trajectory samples
+        spectra = gen_spectroscopy(traj, chi, 4.0, freq_grid, noise, line_center, delays)
+        rng = noise.generator()
+        assert len(spectra) == delays.size
+        for (delay, freqs, amps), t in zip(spectra, delays):
+            center = line_center + 2.0 * chi * photon_number(traj, float(t))
+            expected = noise.apply(1.0 / (1.0 + ((freq_grid - center) / 2.0) ** 2), rng)
+            assert delay == t
+            assert np.array_equal(freqs, freq_grid)
+            assert np.array_equal(amps, expected)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("arg", ["chi", "linewidth", "line_center"])
