@@ -2,10 +2,10 @@
 
 Reruns with the same inputs reproduce every file byte for byte, so the
 format is fixed here and nowhere else.  JSON has a two-space indent, sorted
-keys and a closing newline.  CSV has a header line, then every value as
-``"%.17g" % float(v)``, which reads back as the same double, with the
-``\\r\\n`` line ends of `csv.writer`.  Both writers create the parent
-directory.
+keys and a closing newline.  CSV has a header line, then one value per
+header field on every row, each as ``"%.17g"``, which reads back as the
+same double, with the ``\\r\\n`` line ends of `csv.writer`.  Both writers
+create the parent directory.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import io
 import json
 from pathlib import Path
 from typing import Iterable, Sequence
+
+from .errors import ConfigError
 
 
 def write_json(path: str | Path, payload: object) -> None:
@@ -27,11 +29,19 @@ def write_json(path: str | Path, payload: object) -> None:
 def write_csv(
     path: str | Path, header: Sequence[str], rows: Iterable[Sequence[float]]
 ) -> None:
-    """Header line, then one line per row with full float precision (deterministic bytes)."""
+    """Header line, then one line per row with full float precision (deterministic bytes).
+
+    Raises:
+        ConfigError: a row does not hold one number per header field.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     buf = io.StringIO()
     csv.writer(buf).writerow(header)
     # a formatted number never needs csv quoting, so the rows skip csv.writer
-    buf.writelines(",".join(["%.17g" % float(v) for v in row]) + "\r\n" for row in rows)
+    line = ",".join(["%.17g"] * len(header)) + "\r\n"
+    try:
+        buf.writelines(line % tuple(row) for row in rows)
+    except TypeError as exc:
+        raise ConfigError(f"every CSV row needs {len(header)} numbers: {exc}") from exc
     path.write_text(buf.getvalue(), newline="")

@@ -35,6 +35,7 @@ from .core import MHZ_TO_RAD_NS, DeviceParams, QubitState, complex_rate
 from .dynamics import (
     Trajectory,
     _closed_form_end,
+    _gbs_field,
     _gbs_grid,
     _gbs_steps,
     _propagate_ode_shared,
@@ -440,13 +441,15 @@ def residual_map(
     Each cell is the end field of the (readout, reset) schedule.  The
     readout endpoint is shared, so only the window varies: the flattened
     drive grid goes tile by tile (`_GRID_TILE` cells) through the
-    closed-form segment map of `final_alpha` for the linear model, or with
-    a Kerr term through `dynamics._gbs_grid` at one macro-step for the
-    whole map, set from its largest drive; no cell depends on the tiling.
-    Kerr cells match `ode_final_alpha` at DESIGN_DT to roundoff on smooth
-    windows and beat it on stiff ones.  Diverging Kerr cells come out
-    non-finite, without a numpy warning.  Cells at or below the 0.1-photon
-    level are listed as the contour set.
+    closed-form segment map of `final_alpha` for the linear model.  With a
+    Kerr term the readout end comes from `dynamics._gbs_field` and the
+    window from `dynamics._gbs_grid`, each at the macro-step that
+    `_gbs_steps` sets from its largest drive; no cell depends on the
+    tiling.  Kerr cells match `ode_final_alpha` of the whole schedule at
+    DESIGN_DT to roundoff on smooth windows and beat it on stiff ones.
+    Diverging Kerr cells come out non-finite, without a numpy warning; a
+    diverging readout raises `NumericError`.  Cells at or below the
+    0.1-photon level are listed as the contour set.
     """
     j = QubitState(state)
     amps = np.asarray(amp_grid, dtype=float)
@@ -461,16 +464,16 @@ def residual_map(
         raise ConfigError(f"reset_duration must be finite and > 0, got {reset_duration}")
 
     drives = (amps[:, None] * np.exp(1j * phases[None, :])).ravel()
-    readout_sched = PulseSchedule(segments=(readout,))
     c = complex_rate(params, j, chi_source)
     if params.kerr_coeff == 0.0:
-        alpha_tau = final_alpha(params, readout_sched, j, chi_source=chi_source)
+        alpha_tau = final_alpha(params, PulseSchedule((readout,)), j, chi_source=chi_source)
 
         def window_end(tile: np.ndarray) -> np.ndarray:
             return _segment_end_alpha(alpha_tau, c, tile, reset_duration)
     else:
-        alpha_tau = ode_final_alpha(params, readout_sched, j, dt=DESIGN_DT, chi_source=chi_source)
         kc = params.kerr_coeff * MHZ_TO_RAD_NS
+        steps = _gbs_steps(0j, readout.amplitude, readout.duration, c, kc)
+        alpha_tau = _gbs_field(0j, readout.complex_amplitude, readout.duration, 0.5 * c, kc, steps)
         steps = _gbs_steps(alpha_tau, float(amps.max()), reset_duration, c, kc)
 
         def window_end(tile: np.ndarray) -> np.ndarray:

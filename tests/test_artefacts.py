@@ -5,10 +5,12 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cavreset import DeviceParams, DriveSegment, Trajectory, read_samples_csv, write_samples_csv
+from cavreset import ConfigError, DeviceParams, DriveSegment, Trajectory, read_samples_csv, write_samples_csv
 from cavreset._artefacts import write_csv, write_json
 from cavreset.cli import _schedule_from_spec
 
@@ -32,6 +34,29 @@ def test_csv_format(tmp_path):
     path = tmp_path / "new" / "dir" / "out.csv"
     write_csv(path, ["t", "x"], [(0, 0.1), (2.5, -1e-300)])
     assert path.read_bytes() == b"t,x\r\n0,0.10000000000000001\r\n2.5,-1e-300\r\n"
+
+
+def per_value_lines(rows) -> str:
+    """The rows as the writer formatted them one value at a time."""
+    return "".join(",".join(["%.17g" % float(v) for v in row]) + "\r\n" for row in rows)
+
+
+def test_csv_rows_match_the_per_value_format(tmp_path):
+    rows = [
+        (-0.0, 5e-324, 1e308),
+        (0, -3, 2**53 + 1),
+        (np.float64(0.1), np.float32(0.1), np.int64(-7)),
+        [-1e-300, np.float64(-0.0), 2.5],
+    ]
+    path = tmp_path / "rows.csv"
+    write_csv(path, ["a", "b", "c"], rows)
+    assert path.read_bytes() == ("a,b,c\r\n" + per_value_lines(rows)).encode()
+
+
+@pytest.mark.parametrize("row", [(1.0, 2.0), (1.0, 2.0, 3.0, 4.0), ()], ids=["short", "long", "empty"])
+def test_ragged_csv_row_is_config_error(tmp_path, row):
+    with pytest.raises(ConfigError, match="needs 3 numbers"):
+        write_csv(tmp_path / "rows.csv", ["a", "b", "c"], [(1.0, 2.0, 3.0), row])
 
 
 @settings(max_examples=100, deadline=None)

@@ -404,8 +404,8 @@ class TestGridTiles:
         return np.linspace(0.0, amp_max, na), np.linspace(0.0, 2.0 * math.pi, nphi, endpoint=False)
 
     def _untiled(self, dev, state, window, amps, phases):
-        """The whole grid in one call: closed form, or the extrapolation stepper."""
-        from cavreset.dynamics import _gbs_grid, _gbs_steps, _segment_end_alpha
+        """The whole grid in one call: closed form, or the extrapolation steppers."""
+        from cavreset.dynamics import _gbs_field, _gbs_grid, _gbs_steps, _segment_end_alpha
 
         c = complex_rate(dev, state)
         drives = amps[:, None] * np.exp(1j * phases[None, :])
@@ -414,7 +414,9 @@ class TestGridTiles:
             end = _segment_end_alpha(alpha_tau, c, drives, window)
         else:
             kc = dev.kerr_coeff * MHZ_TO_RAD_NS
-            alpha_tau = ode_final_alpha(dev, PulseSchedule((self.readout,)), state, dt=DESIGN_DT)
+            ro = self.readout
+            steps = _gbs_steps(0j, ro.amplitude, ro.duration, c, kc)
+            alpha_tau = _gbs_field(0j, ro.complex_amplitude, ro.duration, 0.5 * c, kc, steps)
             steps = _gbs_steps(alpha_tau, float(amps.max()), window, c, kc)
             end = _gbs_grid(alpha_tau, drives, window, 0.5 * c, kc, steps)
         return np.abs(end) ** 2
@@ -488,6 +490,92 @@ class TestGridTiles:
         dev = device.with_(kerr_coeff=-0.2)
         design.residual_map(dev, 0, self.readout, 20.0, amps, phases)
         assert steps and max(steps) <= math.ceil(20.0 / dynamics._GBS_MIN_STEP)
+
+
+class TestGbsField:
+    """`_gbs_field`: the extrapolation stepper on one Python complex field."""
+
+    @pytest.mark.parametrize(
+        "kerr,alpha0,drive,duration",
+        [
+            (-0.011, 0j, 0.02 * cmath.exp(0.7j), 1294.0),
+            (-0.2, 0j, 0.03 * cmath.exp(0.4j), 200.0),
+            (-0.5, 3.0 - 2.0j, 0.1 * cmath.exp(-2.1j), 60.0),
+            (0.5, 1.5j, 0.2, 30.0),
+            (0.0, 2.0 + 1.0j, 0.05j, 45.0),
+        ],
+    )
+    @pytest.mark.parametrize("state", [0, 1])
+    def test_matches_one_cell_grid(self, device, kerr, alpha0, drive, duration, state):
+        from cavreset.dynamics import _gbs_field, _gbs_grid, _gbs_steps
+
+        c = complex_rate(device, state)
+        kc = kerr * MHZ_TO_RAD_NS
+        steps = _gbs_steps(alpha0, abs(drive), duration, c, kc)
+        field = _gbs_field(alpha0, drive, duration, 0.5 * c, kc, steps)
+        cell = complex(_gbs_grid(alpha0, np.array([drive]), duration, 0.5 * c, kc, steps)[0])
+        assert type(field) is complex
+        assert abs(field - cell) <= 1e-13 * max(abs(cell), 1.0)
+
+    def test_diverging_field_is_numeric_error(self, device):
+        from cavreset.dynamics import _gbs_field, _gbs_steps
+
+        kerr_dev, segment = diverging_kerr_run(device)
+        c = complex_rate(kerr_dev, 0)
+        kc = kerr_dev.kerr_coeff * MHZ_TO_RAD_NS
+        steps = _gbs_steps(0j, segment.amplitude, segment.duration, c, kc)
+        with pytest.raises(NumericError, match=r"diverged during endpoint integration"):
+            _gbs_field(0j, segment.complex_amplitude, segment.duration, 0.5 * c, kc, steps)
+
+    def test_diverging_map_readout_is_numeric_error(self, device):
+        from cavreset.design import residual_map
+
+        kerr_dev, segment = diverging_kerr_run(device)
+        with pytest.raises(NumericError):
+            residual_map(kerr_dev, 0, segment, 20.0, np.array([0.0, 0.05]), np.array([0.0, 2.0]))
+
+
+class TestAmplitudeBound:
+    """The decay-envelope bound on |alpha| that sets the extrapolation macro-step."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        qubit=st.sampled_from([1, 2]),
+        state=st.sampled_from([0, 1]),
+        kappa_scale=st.floats(min_value=0.3, max_value=3.0),
+        kerr=st.floats(min_value=-0.5, max_value=0.5),
+        r0=st.floats(min_value=0.0, max_value=6.0),
+        theta0=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+        drive_amp=st.floats(min_value=0.0, max_value=0.2),
+        drive_phase=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+        window=st.floats(min_value=1.0, max_value=200.0),
+    )
+    def test_bounds_the_field_and_never_exceeds_the_former_bound(
+        self, qubit, state, kappa_scale, kerr, r0, theta0, drive_amp, drive_phase, window
+    ):
+        from cavreset.dynamics import _amplitude_bound
+
+        base = default_device(qubit)
+        dev = base.with_(kappa=base.kappa * kappa_scale, kerr_coeff=kerr)
+        alpha0 = cmath.rect(r0, theta0)
+        sched = PulseSchedule((DriveSegment(drive_amp, drive_phase, window),))
+        traj = propagate_ode(dev, sched, state, dt=0.01, alpha0=alpha0)
+        c = complex_rate(dev, state)
+        bound = _amplitude_bound(alpha0, drive_amp, window, c)
+        assert np.abs(traj.alpha).max() <= bound * (1.0 + 1e-9)
+        former = min(abs(alpha0) + drive_amp * window, max(abs(alpha0), 2.0 * drive_amp / c.real))
+        assert bound <= former
+
+    @pytest.mark.parametrize("window", [1.0, 50.0, 400.0])
+    def test_a_resonant_drive_from_vacuum_reaches_it(self, device, window):
+        # at zero detuning |alpha| grows along the envelope itself, so the bound is tight
+        from cavreset.core import chi_shift
+        from cavreset.dynamics import _amplitude_bound
+
+        dev = device.with_(drive_freq=device.bare_cavity_freq + chi_shift(device, 0))
+        end = final_alpha(dev, PulseSchedule((DriveSegment(0.05, 0.3, window),)), 0)
+        bound = _amplitude_bound(0j, 0.05, window, complex_rate(dev, 0))
+        assert abs(end) == pytest.approx(bound, rel=1e-12)
 
 
 class TestRk4Tangent:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavreset import DriveSegment, PulseSchedule, default_device, sspe_optimize
+from cavreset import DriveSegment, PulseSchedule, default_device, design, sspe_optimize
 from cavreset.core import MHZ_TO_RAD_NS, complex_rate, critical_photon_number
 from cavreset.design import DESIGN_DT
 from cavreset.dynamics import _gbs_grid, _gbs_steps, ode_final_alpha
@@ -92,6 +92,42 @@ def test_smooth_map_cells(kerr, photons, state):
     cells = grid_cells(dev, state, alpha_tau, drives, 60.0)
     for cell, d in zip(cells, drives):
         assert gap(cell, ref.endpoint(refdev, state, CHI, [(d, 60.0)], alpha0=alpha_tau)) <= SMOOTH
+
+
+def map_gaps(monkeypatch, dev, refdev, state: int, readout: DriveSegment, duration: float, amps, phases):
+    """Gaps of a Kerr `residual_map`'s complex cells, readout included, to the whole schedule."""
+    fields = []
+
+    def record(*args):
+        out = _gbs_grid(*args)
+        fields.append(out.copy())
+        return out
+
+    monkeypatch.setattr(design, "_gbs_grid", record)
+    rmap = design.residual_map(dev, state, readout, duration, amps, phases, chi_source=CHI)
+    cells = np.concatenate(fields)
+    assert np.array_equal(rmap.residual.ravel(), np.abs(cells) ** 2)
+    drives = (amps[:, None] * np.exp(1j * phases[None, :])).ravel()
+    head = (readout.complex_amplitude, readout.duration)
+    return [
+        gap(cell, ref.endpoint(refdev, state, CHI, [head, (d, duration)])) for cell, d in zip(cells, drives)
+    ]
+
+
+@pytest.mark.parametrize("kerr,photons,state", SMOOTH_CASES)
+def test_smooth_map_with_its_readout(monkeypatch, kerr, photons, state):
+    # the map integrates its own 1500 ns readout; each cell against the whole schedule
+    dev, refdev, drive, _, _ = readout_end(kerr, photons, 1500.0, state)
+    readout = DriveSegment.from_complex(drive, 1500.0)
+    amps, phases = abs(drive) * np.array([0.5, 1.6]), np.array([1.0, 2.8])
+    assert max(map_gaps(monkeypatch, dev, refdev, state, readout, 60.0, amps, phases)) <= SMOOTH
+
+
+def test_stiff_map_with_its_readout(monkeypatch):
+    dev, refdev, drive, _, _ = readout_end(STIFF_KERR, 8.0, 1200.0, 0)
+    readout = DriveSegment.from_complex(drive, 1200.0)
+    amps, phases = abs(drive) * np.array([8.0, 25.0, 80.0]), np.array([0.5, 1.5]) * np.pi
+    assert max(map_gaps(monkeypatch, dev, refdev, 0, readout, 30.0, amps, phases)) <= STIFF
 
 
 def test_tiled_map_cells():
