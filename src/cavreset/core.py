@@ -89,6 +89,9 @@ class DeviceParams:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
+            # float(True) is 1.0, so a JSON boolean would pass as a number
+            if isinstance(value, bool):
+                raise ConfigError(f"{f.name} must be a number, got {value}")
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
         if self.kappa < 0:

@@ -11,14 +11,18 @@ linear model is affine in the reset drive, so one least-squares solve
 gives that drive for one state, the joint drive for both states (the photon
 sum over both) and the two-segment baseline, all exactly.  With a Kerr
 term no closed form exists: Levenberg-Marquardt polishes the same residual
-vector on RK4 endpoints, starting from the linear optimum, with the exact
-Jacobian of the RK4 map from the sensitivity pass of `dynamics`.
-`sspe_optimize` is the one entry point for the single-segment reset and
-`clear_optimize` for the two-segment baseline.  Every design integrates
-the readout once per qubit state and continues each reset window from that
-end field.  The module also provides residual-landscape maps, an
-amplitude-scaling check, and a three-way comparison against square-pulse
-free decay and the two-segment baseline.
+vector, starting from the linear optimum, with the exact Jacobian of the
+discrete map.  `sspe_optimize` is the one entry point for the
+single-segment reset and `clear_optimize` for the two-segment baseline.
+Every design integrates the readout once per qubit state and continues each
+reset window from that end field.  The module also provides
+residual-landscape maps, an amplitude-scaling check, and a three-way
+comparison against square-pulse free decay and the two-segment baseline.
+
+Each public entry point resolves the device and chi source once into a
+`dynamics._Cavity` and asks it for every field; this module picks no
+integrator or step.  Kerr designs run on RK4 at DESIGN_DT, Kerr maps on
+order-8 extrapolation.
 """
 
 from __future__ import annotations
@@ -31,20 +35,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from ._artefacts import write_csv, write_json
-from .core import MHZ_TO_RAD_NS, DeviceParams, QubitState, complex_rate
-from .dynamics import (
-    Trajectory,
-    _closed_form_end,
-    _gbs_field,
-    _gbs_grid,
-    _gbs_steps,
-    _propagate_ode_shared,
-    _rk4_tangent,
-    _segment_end_alpha,
-    final_alpha,
-    ode_final_alpha,
-    propagate,
-)
+from .core import DeviceParams, QubitState
+from .dynamics import DESIGN_DT, Trajectory, _Cavity  # noqa: F401  (DESIGN_DT stays importable here)
 from .errors import ConfigError, NotConverged, NumericError
 from .fitting import FitResult, exp_decay_fit
 from .optimize import levenberg_marquardt
@@ -52,9 +44,6 @@ from .pulses import DriveSegment, PulseSchedule, SchemeLabel
 
 #: Residual-photon level whose enclosing grid cells the maps report.
 CONTOUR_LEVEL = 0.1
-
-#: RK4 step for Kerr-model endpoints, ns.
-DESIGN_DT = 0.05
 
 #: Trajectory sample spacing of `compare_schemes`, ns.
 _COMPARE_SAMPLE_DT = 0.1
@@ -114,47 +103,18 @@ class ResetSolution:
         return asdict(self)
 
 
-def _end_fields(
-    params: DeviceParams,
-    schedule: PulseSchedule,
-    starts: Mapping[QubitState, complex],
-    chi_source: str,
-) -> dict[QubitState, complex]:
-    """Field after `schedule` for each state in `starts`, from its start field.
-
-    Exact in the linear model; RK4 at DESIGN_DT with a Kerr term.  Both
-    routes go segment by segment, so continuing from a readout end gives
-    the same bits as one call over readout and reset window together.
-    """
-    if params.kerr_coeff == 0.0:
-        return {
-            j: final_alpha(params, schedule, j, alpha0=a, chi_source=chi_source)
-            for j, a in starts.items()
-        }
-    return {
-        j: ode_final_alpha(params, schedule, j, dt=DESIGN_DT, alpha0=a, chi_source=chi_source)
-        for j, a in starts.items()
-    }
-
-
-def _readout_ends(
-    params: DeviceParams,
-    readout: DriveSegment,
-    states: Iterable[QubitState],
-    chi_source: str,
-) -> dict[QubitState, complex]:
+def _readout_ends(cavity: _Cavity, readout: DriveSegment, states: Iterable[QubitState]) -> dict[QubitState, complex]:
     """Fields of `states` at the end of the readout, from vacuum."""
-    vacuum = dict.fromkeys(states, 0j)
-    return _end_fields(params, PulseSchedule(segments=(readout,)), vacuum, chi_source)
+    schedule = PulseSchedule(segments=(readout,))
+    return {j: cavity.end(j, schedule) for j in states}
 
 
 def _least_squares_drive(
-    params: DeviceParams,
+    cavity: _Cavity,
     targets: tuple[QubitState, ...],
     readout: DriveSegment,
     reset: Callable[[np.ndarray], PulseSchedule],
     ends: Mapping[QubitState, complex],
-    chi_source: str,
     start: Sequence[float] | None = None,
 ) -> tuple[np.ndarray, bool, int]:
     """Two real unknowns x minimizing sum_j |alpha_j(end)|^2.
@@ -164,10 +124,9 @@ def _least_squares_drive(
     linear model each end field is affine in x, alpha_j = f_j + B_j x, so
     the minimum is one least-squares solve over the rows [Re, Im] stacked
     across the target states.  With a Kerr term Levenberg-Marquardt
-    minimizes the same residual vector over RK4 endpoints, started from
-    `start` or else from the linear optimum for the linear readout.  One
-    `_rk4_tangent` pass per state gives both the residuals and their exact
-    Jacobian.
+    minimizes the same residual vector, started from `start` or else from
+    the linear optimum for the linear readout; the cavity gives the
+    residuals and their exact Jacobian in one pass per state.
 
     Returns (x, converged, objective evaluations).
 
@@ -175,27 +134,24 @@ def _least_squares_drive(
         NumericError: some x_k moves a target's end field by less than 1e-12
             times the window length (normal windows: about 1 times).
     """
-    if params.kerr_coeff == 0.0:
+    if cavity.linear:
         undriven = reset(np.zeros(2))
         window = undriven.total_duration
         rows, rhs = [], []
         for j in targets:
-            c = complex_rate(params, j, chi_source)
-            free = _closed_form_end(ends[j], c, undriven)
-            cols = [_closed_form_end(0j, c, reset(e)) for e in np.eye(2)]
+            free = cavity.end(j, undriven, ends[j])
+            cols = [cavity.end(j, reset(e)) for e in np.eye(2)]
             if min(abs(b) for b in cols) < 1e-12 * window:
-                raise NumericError(f"reset window {window} ns is degenerate for C = {c}")
+                raise NumericError(f"reset window {window} ns is degenerate for C = {cavity.rates[j]}")
             rows += [[b.real for b in cols], [b.imag for b in cols]]
             rhs += [-free.real, -free.imag]
         x, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
         return x, True, 0
 
     if start is None:
-        linear = params.with_(kerr_coeff=0.0)
-        linear_ends = _readout_ends(linear, readout, targets, chi_source)
-        start, _, _ = _least_squares_drive(linear, targets, readout, reset, linear_ends, chi_source)
-    half_c = {j: 0.5 * complex_rate(params, j, chi_source) for j in targets}
-    kc = params.kerr_coeff * MHZ_TO_RAD_NS
+        linear = cavity.without_kerr()
+        linear_ends = _readout_ends(linear, readout, targets)
+        start, _, _ = _least_squares_drive(linear, targets, readout, reset, linear_ends)
     # reset is linear in x, so reset(e_k) holds d drive / d x_k per segment
     units = [reset(e).segments for e in np.eye(2)]
 
@@ -206,7 +162,7 @@ def _least_squares_drive(
         ]
         out, jac = [], []
         for j in targets:
-            a, d0, d1 = _rk4_tangent(ends[j], segments, half_c[j], kc, DESIGN_DT)
+            a, d0, d1 = cavity.end_and_jacobian(j, ends[j], segments)
             out += [a.real, a.imag]
             jac += [[d0.real, d1.real], [d0.imag, d1.imag]]
         return np.array(out), np.array(jac)
@@ -216,11 +172,10 @@ def _least_squares_drive(
 
 
 def _sspe_solution(
-    params: DeviceParams,
+    cavity: _Cavity,
     targets: tuple[QubitState, ...],
     readout: DriveSegment,
     reset_duration: float,
-    chi_source: str,
     ends: Mapping[QubitState, complex],
 ) -> ResetSolution:
     """Best single reset segment for the targets; x = (Re, Im) of the drive.
@@ -238,20 +193,15 @@ def _sspe_solution(
         return PulseSchedule(segments=(DriveSegment.from_complex(drive, reset_duration),))
 
     def solve(start: Sequence[float] | None) -> tuple[PulseSchedule, bool, int, dict[QubitState, float]]:
-        x, converged, evaluations = _least_squares_drive(
-            params, targets, readout, reset, ends, chi_source, start
-        )
+        x, converged, evaluations = _least_squares_drive(cavity, targets, readout, reset, ends, start)
         window = reset(x)
-        fields = _end_fields(params, window, ends, chi_source)
-        return window, converged, evaluations, {j: abs(a) ** 2 for j, a in fields.items()}
+        return window, converged, evaluations, {j: abs(cavity.end(j, window, a)) ** 2 for j, a in ends.items()}
 
     window, converged, evaluations, residual = solve(None)
-    if params.kerr_coeff != 0.0 and len(targets) == 1:
+    if not cavity.linear and len(targets) == 1:
         (j,) = targets
         if residual[j] > _REACHED_ZERO:
-            restart, _, _ = _least_squares_drive(
-                params.with_(kerr_coeff=0.0), targets, readout, reset, ends, chi_source
-            )
+            restart, _, _ = _least_squares_drive(cavity.without_kerr(), targets, readout, reset, ends)
             window2, converged2, more, residual2 = solve(restart)
             evaluations += more
             if residual2[j] < residual[j]:
@@ -294,8 +244,8 @@ def sspe_optimize(
     targets = _normalize_states(states)
     if reset_duration <= 0.0:
         raise ConfigError(f"reset_duration must be > 0, got {reset_duration}")
-    ends = _readout_ends(params, readout, QubitState, chi_source)
-    return _sspe_solution(params, targets, readout, reset_duration, chi_source, ends)
+    cavity = _Cavity.of(params, chi_source)
+    return _sspe_solution(cavity, targets, readout, reset_duration, _readout_ends(cavity, readout, QubitState))
 
 
 def sspe_analytic(
@@ -320,11 +270,10 @@ def sspe_analytic(
 
 
 def _clear_schedule(
-    params: DeviceParams,
+    cavity: _Cavity,
     targets: tuple[QubitState, ...],
     readout: DriveSegment,
     reset_duration: float,
-    chi_source: str,
     ends: Mapping[QubitState, complex],
 ) -> PulseSchedule:
     """`clear_optimize` from the readout end fields `ends`."""
@@ -336,7 +285,7 @@ def _clear_schedule(
         p2 = readout.phase + math.pi + (math.pi if e2 < 0.0 else 0.0)
         return PulseSchedule(segments=(DriveSegment(abs(e1), p1, half), DriveSegment(abs(e2), p2, half)))
 
-    x, converged, _ = _least_squares_drive(params, targets, readout, reset, ends, chi_source)
+    x, converged, _ = _least_squares_drive(cavity, targets, readout, reset, ends)
     if not converged:
         raise NotConverged("baseline amplitude polish did not converge")
     return PulseSchedule(segments=(readout, *reset(x)), label=SchemeLabel.CLEAR.value)
@@ -364,8 +313,8 @@ def clear_optimize(
     targets = _normalize_states(states)
     if reset_duration <= 0.0:
         raise ConfigError(f"reset_duration must be > 0, got {reset_duration}")
-    ends = _readout_ends(params, readout, targets, chi_source)
-    return _clear_schedule(params, targets, readout, reset_duration, chi_source, ends)
+    cavity = _Cavity.of(params, chi_source)
+    return _clear_schedule(cavity, targets, readout, reset_duration, _readout_ends(cavity, readout, targets))
 
 
 # -- residual maps ---------------------------------------------------------
@@ -440,13 +389,13 @@ def residual_map(
 
     Each cell is the end field of the (readout, reset) schedule.  The
     readout endpoint is shared, so only the window varies: the flattened
-    drive grid goes tile by tile (`_GRID_TILE` cells) through the
-    closed-form segment map of `final_alpha` for the linear model.  With a
-    Kerr term the readout end comes from `dynamics._gbs_field` and the
-    window from `dynamics._gbs_grid`, each at the macro-step that
-    `_gbs_steps` sets from its largest drive; no cell depends on the
-    tiling.  Kerr cells match `ode_final_alpha` of the whole schedule at
-    DESIGN_DT to roundoff on smooth windows and beat it on stiff ones.
+    drive grid goes tile by tile (`_GRID_TILE` cells) through the exact
+    segment map in the linear model.  With a Kerr term the readout and the
+    window go through order-8 extrapolation, each at the macro-step its
+    largest drive needs (the whole grid's for every tile), so no cell
+    depends on the tiling.  Kerr cells match `ode_final_alpha` of the whole
+    schedule at DESIGN_DT to roundoff on smooth windows and beat it on
+    stiff ones.
     Diverging Kerr cells come out non-finite, without a numpy warning; a
     diverging readout raises `NumericError`.  Cells at or below the
     0.1-photon level are listed as the contour set.
@@ -464,26 +413,15 @@ def residual_map(
         raise ConfigError(f"reset_duration must be finite and > 0, got {reset_duration}")
 
     drives = (amps[:, None] * np.exp(1j * phases[None, :])).ravel()
-    c = complex_rate(params, j, chi_source)
-    if params.kerr_coeff == 0.0:
-        alpha_tau = final_alpha(params, PulseSchedule((readout,)), j, chi_source=chi_source)
-
-        def window_end(tile: np.ndarray) -> np.ndarray:
-            return _segment_end_alpha(alpha_tau, c, tile, reset_duration)
-    else:
-        kc = params.kerr_coeff * MHZ_TO_RAD_NS
-        steps = _gbs_steps(0j, readout.amplitude, readout.duration, c, kc)
-        alpha_tau = _gbs_field(0j, readout.complex_amplitude, readout.duration, 0.5 * c, kc, steps)
-        steps = _gbs_steps(alpha_tau, float(amps.max()), reset_duration, c, kc)
-
-        def window_end(tile: np.ndarray) -> np.ndarray:
-            return _gbs_grid(alpha_tau, tile, reset_duration, 0.5 * c, kc, steps)
-
+    cavity = _Cavity.of(params, chi_source)
+    alpha_tau = cavity.segment_end(j, 0j, readout)
+    eps_max = float(amps.max())
     residual = np.empty(drives.size)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, drives.size, _GRID_TILE):
             stop = start + _GRID_TILE
-            residual[start:stop] = np.abs(window_end(drives[start:stop])) ** 2
+            tile = drives[start:stop]
+            residual[start:stop] = np.abs(cavity.grid_ends(j, alpha_tau, tile, reset_duration, eps_max)) ** 2
     residual = residual.reshape(amps.size, phases.size)
     cells = [(int(i), int(k)) for i, k in zip(*np.nonzero(residual <= CONTOUR_LEVEL))]
     return ResidualMap(
@@ -655,8 +593,8 @@ def compare_schemes(
         raise ConfigError(f"reset_duration must be > 0, got {reset_duration}")
     tau = readout.duration
     total = tau + reset_duration
-    linear = params.kerr_coeff == 0.0
-    ends = _readout_ends(params, readout, targets, chi_source)
+    cavity = _Cavity.of(params, chi_source)
+    ends = _readout_ends(cavity, readout, targets)
     square = PulseSchedule(
         segments=(readout, DriveSegment(0.0, 0.0, reset_duration)),
         label=SchemeLabel.SQUARE.value,
@@ -664,11 +602,11 @@ def compare_schemes(
 
     entries: dict[tuple[str, QubitState], SchemeMetrics] = {}
     for j in targets:
-        sol = _sspe_solution(params, (j,), readout, reset_duration, chi_source, ends)
+        sol = _sspe_solution(cavity, (j,), readout, reset_duration, ends)
         schedules = {
             SchemeLabel.SQUARE.value: square,
             SchemeLabel.SSPE.value: sol.schedule(),
-            SchemeLabel.CLEAR.value: _clear_schedule(params, (j,), readout, reset_duration, chi_source, ends),
+            SchemeLabel.CLEAR.value: _clear_schedule(cavity, (j,), readout, reset_duration, ends),
         }
 
         for scheme, sched in schedules.items():
@@ -676,25 +614,15 @@ def compare_schemes(
                 raise ConfigError(
                     f"{scheme} schedule spans {sched.total_duration} ns, expected {total}"
                 )
-        if linear:
-            trajectories = [
-                propagate(params, sched, j, sample_dt=_COMPARE_SAMPLE_DT, chi_source=chi_source)
-                for sched in schedules.values()
-            ]
-        else:
-            trajectories = _propagate_ode_shared(
-                params, list(schedules.values()), j, _COMPARE_SAMPLE_DT, chi_source=chi_source
-            )
-
+        trajectories = cavity.samples(j, list(schedules.values()), _COMPARE_SAMPLE_DT)
         for (scheme, sched), traj in zip(schedules.items(), trajectories):
             window = (traj.times >= tau - 1e-12)
             peak = float(np.max(traj.photon[window]))
-            if linear:
+            if cavity.linear:
                 # the closed-form trajectory ends on the exact endpoint
                 residual_end = float(traj.photon[-1])
             else:
-                reset_window = PulseSchedule(segments=sched.segments[1:])
-                residual_end = abs(_end_fields(params, reset_window, {j: ends[j]}, chi_source)[j]) ** 2
+                residual_end = abs(cavity.end(j, PulseSchedule(segments=sched.segments[1:]), ends[j])) ** 2
             entries[(scheme, j)] = SchemeMetrics(
                 scheme=scheme,
                 qubit_state=j,

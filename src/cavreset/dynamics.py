@@ -13,29 +13,29 @@ exact solution
     alpha(t) = alpha_ss + (alpha(t0) - alpha_ss) * exp(-C_j (t - t0) / 2),
     alpha_ss = -2i eps~ / C_j,
 
-evaluated in one place, `_segment_end_alpha`, which `final_alpha`,
-`propagate_closed_form` and the linear residual maps of `design` share.
-With a Kerr term the equation is nonlinear and fixed-step RK4 integrates
-it, always with the step rule of `_rk4_steps`.  `_rk4` steps one Python
-complex trajectory (`propagate_ode`, `ode_final_alpha`).  `_rk4_tangent`
-is `_rk4` run together with its derivative along two real drive unknowns;
-the Kerr reset design takes its residuals and their exact Jacobian from
-it.  A Kerr residual map integrates its window, one trajectory per drive
-cell, with `_gbs_grid`: order-8 extrapolation on numpy arrays at a step
-set from the field's fastest rate, which `_gbs_steps` bounds through the
-decay envelope of |alpha|.  Its readout goes through `_gbs_field`, the
-same stepper on one Python complex.  Both match `_rk4` at dt = 0.05 ns to
-roundoff on smooth windows and beat it on stiff ones.  The six 4000 ns
-ring-ups of the appC_calibration scenario share one `_gbs_grid` call;
-their endpoints agree with DOP853 to 5.0e-14 of max(|alpha|, 1), where
-`_rk4` at 0.05 ns gives 5.2e-14.
+evaluated in one place, `_segment_end_alpha`.  With a Kerr term the
+equation is nonlinear.  `_rk4` steps one Python complex by fixed-step RK4
+under the step rule of `_rk4_steps`; `_rk4_tangent` runs it together with
+its derivative along two real drive unknowns.  `_gbs_grid` is order-8
+extrapolation on numpy arrays, one trajectory per drive, at a step set
+from the field's fastest rate, which `_gbs_steps` bounds through the decay
+envelope of |alpha|; `_gbs_field` is the same stepper on one Python
+complex.  Both match `_rk4` at dt = 0.05 ns to roundoff on smooth windows
+and beat it on stiff ones.
+
+The public functions take a device and a chi source.  `design` and the
+appC_calibration scenario instead build one `_Cavity` (C_0, C_1 and K_c)
+per entry point and ask it for fields; only `_Cavity` chooses between the
+closed form and a Kerr stepper and sets the step: RK4 at DESIGN_DT for
+design endpoints and their Jacobian, extrapolation for map readouts, map
+windows and ring-up ladders.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +50,9 @@ _C_TINY = 1e-15
 
 #: RK4 resolves every segment with at least this many sub-steps.
 _MIN_STEPS_PER_SEGMENT = 10
+
+#: RK4 step for Kerr-model design endpoints, ns.
+DESIGN_DT = 0.05
 
 #: `_gbs_grid` and `_gbs_field` run these modified-midpoint substeps per
 #: macro-step, and their macro-step is _GBS_THETA over the field's fastest
@@ -345,49 +348,18 @@ def _rk4_tangent(alpha0: complex, segments, half_c: complex, kc: float, dt: floa
     return a, da, db
 
 
-def final_alpha(
-    params: DeviceParams,
-    schedule: PulseSchedule,
-    state: QubitState | int,
-    alpha0: complex = 0j,
-    chi_source: str = "formula",
-) -> complex:
-    """Exact endpoint of the linear model after the whole schedule."""
-    if params.kerr_coeff != 0.0:
-        raise NumericError("closed form only covers the linear model; use ode_final_alpha")
-    return _closed_form_end(alpha0, complex_rate(params, state, chi_source), schedule)
-
-
 def _closed_form_end(alpha0: complex, c: complex, schedule: PulseSchedule) -> complex:
-    """`final_alpha` for a known complex rate C, for callers that reuse it."""
+    """`final_alpha` for a known complex rate C."""
     a = complex(alpha0)
     for seg in schedule:
         a = _segment_end_alpha(a, c, seg.complex_amplitude, seg.duration)
     return a
 
 
-def propagate_closed_form(
-    params: DeviceParams,
-    schedule: PulseSchedule,
-    state: QubitState | int,
-    sample_dt: float = 1.0,
-    alpha0: complex = 0j,
-    chi_source: str = "formula",
+def _closed_form_samples(
+    alpha0: complex, c: complex, schedule: PulseSchedule, sample_dt: float, state: QubitState | int
 ) -> Trajectory:
-    """Exact piecewise solution of the linear model, sampled per segment.
-
-    Within each segment samples are spaced by at most sample_dt (the
-    segment is subdivided evenly) and every segment boundary is a sample,
-    so discontinuous drive switches land exactly on grid points.
-
-    Only valid for kerr_coeff == 0; use `propagate` to dispatch.
-    """
-    if params.kerr_coeff != 0.0:
-        raise NumericError("closed form only covers the linear model; use propagate_ode")
-    if not sample_dt > 0.0:
-        raise ConfigError(f"sample_dt must be > 0, got {sample_dt}")
-    c = complex_rate(params, state, chi_source)
-
+    """`propagate_closed_form` for a known complex rate C."""
     times = [np.array([0.0])]
     alphas = [np.array([alpha0], dtype=complex)]
     t0 = 0.0
@@ -405,35 +377,17 @@ def propagate_closed_form(
     )
 
 
-def propagate_ode(
-    params: DeviceParams,
-    schedule: PulseSchedule,
-    state: QubitState | int,
-    dt: float = 0.05,
-    alpha0: complex = 0j,
-    chi_source: str = "formula",
-) -> Trajectory:
-    """Fixed-step RK4 integration, including the Kerr nonlinearity.
-
-    Each segment is subdivided into ceil(duration/dt) equal steps so that
-    drive switches always coincide with step boundaries; the effective step
-    never exceeds dt.  Samples are recorded at every step.
-
-    Raises:
-        ConfigError: dt is not finite and > 0.
-        NumericError: dt does not give at least 10 steps in every segment,
-            or the integration blew up (diverging Kerr trajectory).
-    """
-    return _propagate_ode_shared(params, (schedule,), state, dt, alpha0, chi_source)[0]
+def _rk4_end(alpha0: complex, schedule: PulseSchedule, c: complex, kc: float, dt: float) -> complex:
+    """`ode_final_alpha` for a known complex rate C and K_c in rad/ns."""
+    segments = [(seg.complex_amplitude, seg.duration) for seg in schedule]
+    a = _rk4(complex(alpha0), segments, 0.5 * c, kc, dt)
+    if not cmath.isfinite(a):
+        raise NumericError("cavity amplitude diverged during endpoint integration")
+    return a
 
 
-def _propagate_ode_shared(
-    params: DeviceParams,
-    schedules,
-    state: QubitState | int,
-    dt: float,
-    alpha0: complex = 0j,
-    chi_source: str = "formula",
+def _rk4_samples(
+    alpha0: complex, schedules, c: complex, kc: float, dt: float, state: QubitState | int
 ) -> list[Trajectory]:
     """`propagate_ode` of schedules that open with the same segment.
 
@@ -456,8 +410,7 @@ def _propagate_ode_shared(
     head = schedules[0].segments[0]
     if any(schedule.segments[0] != head for schedule in schedules):
         raise ConfigError("schedules sharing a first segment must open with the same segment")
-    half_c = 0.5 * complex_rate(params, state, chi_source)
-    kc = params.kerr_coeff * MHZ_TO_RAD_NS
+    half_c = 0.5 * c
     head_values = [complex(alpha0)]
     _rk4(head_values[0], [(head.complex_amplitude, head.duration)], half_c, kc, dt, head_values)
 
@@ -481,6 +434,137 @@ def _propagate_ode_shared(
     return trajectories
 
 
+@dataclass(frozen=True)
+class _Cavity:
+    """C_0, C_1 and K_c (rad/ns) of one device under one chi source.
+
+    The field questions of `design` and of appC's ring-up ladder; each
+    method picks the closed form in the linear model, or a Kerr stepper
+    and its step.
+    """
+
+    rates: tuple[complex, complex]
+    kc: float
+
+    @classmethod
+    def of(cls, params: DeviceParams, chi_source: str) -> "_Cavity":
+        rates = tuple(complex_rate(params, j, chi_source) for j in QubitState)
+        return cls(rates, params.kerr_coeff * MHZ_TO_RAD_NS)
+
+    @property
+    def linear(self) -> bool:
+        return self.kc == 0.0
+
+    def without_kerr(self) -> "_Cavity":
+        return replace(self, kc=0.0)
+
+    def end(self, state: QubitState, schedule: PulseSchedule, alpha0: complex = 0j) -> complex:
+        """Field after `schedule` from alpha0: exact, or RK4 at DESIGN_DT.
+
+        Both go segment by segment, so a window continued from a readout end
+        gives the bits of one call over readout and window together.
+        """
+        if self.linear:
+            return _closed_form_end(alpha0, self.rates[state], schedule)
+        return _rk4_end(alpha0, schedule, self.rates[state], self.kc, DESIGN_DT)
+
+    def end_and_jacobian(self, state: QubitState, alpha0: complex, segments):
+        """Kerr `end` with its derivative along two unknowns: `_rk4_tangent` at DESIGN_DT."""
+        return _rk4_tangent(alpha0, segments, 0.5 * self.rates[state], self.kc, DESIGN_DT)
+
+    def segment_end(self, state: QubitState, alpha0: complex, segment: DriveSegment) -> complex:
+        """Field after one segment: exact, or `_gbs_field` at the step its drive needs."""
+        c, drive, duration = self.rates[state], segment.complex_amplitude, segment.duration
+        if self.linear:
+            return _segment_end_alpha(alpha0, c, drive, duration)
+        steps = _gbs_steps(alpha0, segment.amplitude, duration, c, self.kc)
+        return _gbs_field(alpha0, drive, duration, 0.5 * c, self.kc, steps)
+
+    def grid_ends(
+        self, state: QubitState, alpha0: complex, drives: np.ndarray, duration: float, eps_max: float
+    ) -> np.ndarray:
+        """Field after `duration` ns of each of `drives`: exact, or `_gbs_grid`.
+
+        The macro-step is the one drives up to eps_max need, so a tile of a
+        larger grid passes the largest drive of the whole grid.
+        """
+        c = self.rates[state]
+        if self.linear:
+            return _segment_end_alpha(alpha0, c, drives, duration)
+        steps = _gbs_steps(alpha0, eps_max, duration, c, self.kc)
+        return _gbs_grid(alpha0, drives, duration, 0.5 * c, self.kc, steps)
+
+    def samples(self, state: QubitState, schedules, sample_dt: float) -> list[Trajectory]:
+        """Trajectories from vacuum of schedules that open with the same segment.
+
+        Exact, at most sample_dt apart; or RK4 at step sample_dt, sharing
+        the first segment.
+        """
+        c = self.rates[state]
+        if self.linear:
+            return [_closed_form_samples(0j, c, schedule, sample_dt, state) for schedule in schedules]
+        return _rk4_samples(0j, schedules, c, self.kc, sample_dt, state)
+
+
+def final_alpha(
+    params: DeviceParams,
+    schedule: PulseSchedule,
+    state: QubitState | int,
+    alpha0: complex = 0j,
+    chi_source: str = "formula",
+) -> complex:
+    """Exact endpoint of the linear model after the whole schedule."""
+    if params.kerr_coeff != 0.0:
+        raise NumericError("closed form only covers the linear model; use ode_final_alpha")
+    return _closed_form_end(alpha0, complex_rate(params, state, chi_source), schedule)
+
+
+def propagate_closed_form(
+    params: DeviceParams,
+    schedule: PulseSchedule,
+    state: QubitState | int,
+    sample_dt: float = 1.0,
+    alpha0: complex = 0j,
+    chi_source: str = "formula",
+) -> Trajectory:
+    """Exact piecewise solution of the linear model, sampled per segment.
+
+    Within each segment samples are spaced by at most sample_dt (the
+    segment is subdivided evenly) and every segment boundary is a sample,
+    so discontinuous drive switches land exactly on grid points.
+
+    Only valid for kerr_coeff == 0; use `propagate` to dispatch.
+    """
+    if params.kerr_coeff != 0.0:
+        raise NumericError("closed form only covers the linear model; use propagate_ode")
+    if not sample_dt > 0.0:
+        raise ConfigError(f"sample_dt must be > 0, got {sample_dt}")
+    return _closed_form_samples(alpha0, complex_rate(params, state, chi_source), schedule, sample_dt, state)
+
+
+def propagate_ode(
+    params: DeviceParams,
+    schedule: PulseSchedule,
+    state: QubitState | int,
+    dt: float = 0.05,
+    alpha0: complex = 0j,
+    chi_source: str = "formula",
+) -> Trajectory:
+    """Fixed-step RK4 integration, including the Kerr nonlinearity.
+
+    Each segment is subdivided into ceil(duration/dt) equal steps so that
+    drive switches always coincide with step boundaries; the effective step
+    never exceeds dt.  Samples are recorded at every step.
+
+    Raises:
+        ConfigError: dt is not finite and > 0.
+        NumericError: dt does not give at least 10 steps in every segment,
+            or the integration blew up (diverging Kerr trajectory).
+    """
+    c = complex_rate(params, state, chi_source)
+    return _rk4_samples(alpha0, (schedule,), c, params.kerr_coeff * MHZ_TO_RAD_NS, dt, state)[0]
+
+
 def ode_final_alpha(
     params: DeviceParams,
     schedule: PulseSchedule,
@@ -499,13 +583,8 @@ def ode_final_alpha(
         ConfigError: dt is not finite and > 0.
         NumericError: the integration blew up (diverging Kerr trajectory).
     """
-    half_c = 0.5 * complex_rate(params, state, chi_source)
-    kc = params.kerr_coeff * MHZ_TO_RAD_NS
-    segments = [(seg.complex_amplitude, seg.duration) for seg in schedule]
-    a = _rk4(complex(alpha0), segments, half_c, kc, dt)
-    if not cmath.isfinite(a):
-        raise NumericError("cavity amplitude diverged during endpoint integration")
-    return a
+    c = complex_rate(params, state, chi_source)
+    return _rk4_end(alpha0, schedule, c, params.kerr_coeff * MHZ_TO_RAD_NS, dt)
 
 
 def propagate(

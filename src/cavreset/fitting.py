@@ -457,14 +457,17 @@ def kerr_steady_state(
     trigonometric form when there are three real roots, Cardano's form
     otherwise.  At most two Newton steps on the original cubic follow.
     """
+    return _kerr_root(complex_rate(params, state, chi_source), params.kerr_coeff * MHZ_TO_RAD_NS, drive_amp)
+
+
+def _kerr_root(c: complex, kc: float, drive_amp: float) -> float:
+    """`kerr_steady_state` for a known complex rate C and K_c in rad/ns."""
     eps = float(drive_amp)
     if not (math.isfinite(eps) and eps >= 0.0):
         raise ConfigError(f"drive amplitude must be finite and >= 0, got {drive_amp}")
-    c = complex_rate(params, state, chi_source)
     if eps == 0.0:
         return 0.0
     delta, kappa = 0.5 * c.imag, c.real
-    kc = params.kerr_coeff * MHZ_TO_RAD_NS
     linear = 4.0 * delta * delta + kappa * kappa
     n_lin = 4.0 * eps * eps / linear
     if kc == 0.0:
@@ -537,11 +540,10 @@ def fit_kerr_calibration(
 
     def model(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         scale, kerr_khz = float(p[0]), float(p[1])
-        trial = params.with_(kerr_coeff=kerr_khz * 1e-3)
-        eps = abs(scale) * volts
-        n = np.array([kerr_steady_state(trial, state, e, chi_source) for e in eps])
-        # implicit derivatives of f(n) = n [4 (delta + K n)^2 + kappa^2] - 4 eps^2 = 0
         kc = kerr_khz * 1e-3 * MHZ_TO_RAD_NS
+        eps = abs(scale) * volts
+        n = np.array([_kerr_root(c, kc, e) for e in eps])
+        # implicit derivatives of f(n) = n [4 (delta + K n)^2 + kappa^2] - 4 eps^2 = 0
         shifted = delta + kc * n
         f_n = 4.0 * shifted * shifted + kappa * kappa + 8.0 * kc * n * shifted
         d_scale = 8.0 * eps / f_n * math.copysign(1.0, scale) * volts

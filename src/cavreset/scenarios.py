@@ -27,7 +27,6 @@ from .core import (
     MHZ_TO_RAD_NS,
     DeviceParams,
     QubitState,
-    complex_rate,
     critical_photon_number,
     default_device,
     qubit_pull,
@@ -39,8 +38,7 @@ from .design import (
     sspe_optimize,
 )
 from .dynamics import (
-    _gbs_grid,
-    _gbs_steps,
+    _Cavity,
     final_alpha,
     photon_number,
     propagate_closed_form,
@@ -457,28 +455,6 @@ def _fig4_backaction(ctx: _Context) -> None:
     ctx.write_json("backaction_fit.json", fit.to_dict())
 
 
-def _ring_up_ends(
-    params: DeviceParams, state: QubitState, targets: Sequence[float], duration: float, chi_source: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ring-up drives toward each photon target and the fields they reach from vacuum.
-
-    All drives share one `_gbs_grid` call, at the macro-step its largest
-    drive needs, as a Kerr residual map does.
-
-    Raises:
-        NumericError: a ring-up diverged.
-    """
-    eps = np.array([ring_up_segment(params, state, n, duration, chi_source).amplitude for n in targets])
-    c = complex_rate(params, state, chi_source)
-    kc = params.kerr_coeff * MHZ_TO_RAD_NS
-    steps = _gbs_steps(0j, float(eps.max()), duration, c, kc)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ends = _gbs_grid(0j, eps, duration, 0.5 * c, kc, steps)
-    if not np.isfinite(ends).all():
-        raise NumericError("cavity amplitude diverged during a ring-up")
-    return eps, ends
-
-
 def _appc_calibration(ctx: _Context) -> None:
     """Kerr steady-state solver vs long-time ODE plus the calibration fit."""
     base = ctx.params
@@ -487,9 +463,14 @@ def _appc_calibration(ctx: _Context) -> None:
     n_crit = critical_photon_number(base)
     ctx.notes["critical_photon_number"] = n_crit
 
-    # cubic root against the ODE ring-up limit, photon ladder up to 0.8 n_crit
+    # cubic root against the ODE ring-up limit, photon ladder up to 0.8 n_crit;
+    # the ring-ups differ only in their drive, so they share one grid call
     ladder = [1.0, 5.0, 10.0, 15.0, 20.0, 0.8 * n_crit]
-    eps, ends = _ring_up_ends(kerr_params, j, ladder, 4000.0, ctx.chi_source)
+    eps = np.array([ring_up_segment(kerr_params, j, n, 4000.0, ctx.chi_source).amplitude for n in ladder])
+    with np.errstate(over="ignore", invalid="ignore"):
+        ends = _Cavity.of(kerr_params, ctx.chi_source).grid_ends(j, 0j, eps, 4000.0, float(eps.max()))
+    if not np.isfinite(ends).all():
+        raise NumericError("cavity amplitude diverged during a ring-up")
     worst = 0.0
     rows = []
     for n_target, drive, end in zip(ladder, eps, ends):

@@ -87,8 +87,8 @@ def gen_ramsey_dataset(
 ) -> list[tuple[float, float]]:
     """(t_us, S) samples of the Ramsey signal under the given noise."""
     t = np.asarray(times, dtype=float)
-    if t.size == 0:
-        raise ConfigError("times must be non-empty")
+    if t.size == 0 or not np.isfinite(t).all():
+        raise ConfigError("times must be non-empty and finite")
     signal = noise.apply(ramsey_forward(model, t))
     return list(zip(t.tolist(), signal.tolist()))
 
@@ -128,8 +128,8 @@ def gen_spectroscopy(
     if not (all(map(math.isfinite, (chi, line_center, linewidth))) and linewidth > 0.0):
         raise ConfigError(f"need finite chi, line_center, linewidth > 0: {chi}, {line_center}, {linewidth}")
     freqs = np.asarray(freq_grid, dtype=float)
-    if freqs.size == 0:
-        raise ConfigError("freq_grid must be non-empty")
+    if freqs.size == 0 or not np.isfinite(freqs).all():
+        raise ConfigError("freq_grid must be non-empty and finite")
     delays = np.asarray(traj.times if delays is None else delays, dtype=float)
     outside = ~((traj.times[0] <= delays) & (delays <= traj.times[-1]))
     if outside.any():

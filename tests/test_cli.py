@@ -331,6 +331,13 @@ class TestConfigAndCalibrate:
         cfg.write_text('{"kappa": -3}')
         assert run("calibrate", "--config", str(cfg), "--out", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("field", ["coupling", "kappa"])
+    def test_json_boolean_exit_2(self, tmp_path, field):
+        cfg = tmp_path / "bool.json"
+        cfg.write_text(json.dumps({**default_device().to_dict(), field: True}))
+        assert run("calibrate", "--config", str(cfg), "--out", str(tmp_path)) == 2
+        assert not (tmp_path / "calibration.json").exists()
+
     def test_unknown_key_exit_2(self, tmp_path):
         cfg = tmp_path / "weird.json"
         data = default_device().to_dict()

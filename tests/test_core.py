@@ -155,6 +155,16 @@ class TestDeviceParams:
         with pytest.raises(ConfigError, match=field):
             device.with_(**{field: value})
 
+    @pytest.mark.parametrize("field", sorted(DeviceParams.__dataclass_fields__))
+    def test_json_boolean_rejected(self, device, field):
+        # float(True) is 1.0: {"coupling": true} would load as g = 1 MHz
+        data = {**device.to_dict(), field: True}
+        with pytest.raises(ConfigError, match=field):
+            DeviceParams.from_dict(data)
+
+    def test_int_fields_accepted(self, device):
+        assert DeviceParams.from_dict({**device.to_dict(), "kappa": 2, "kerr_coeff": 0}).kappa == 2
+
     def test_positive_anharmonicity_rejected(self, device):
         with pytest.raises(ConfigError):
             device.with_(anharmonicity=10.0)

@@ -480,12 +480,13 @@ class TestGridTiles:
         from cavreset import design, dynamics
 
         steps = []
+        grid = dynamics._gbs_grid
 
         def spy(alpha0, drives, duration, half_c, kc, n):
             steps.append(n)
-            return dynamics._gbs_grid(alpha0, drives, duration, half_c, kc, n)
+            return grid(alpha0, drives, duration, half_c, kc, n)
 
-        monkeypatch.setattr(design, "_gbs_grid", spy)
+        monkeypatch.setattr(dynamics, "_gbs_grid", spy)
         amps, phases = np.array([0.0, 5000.0]), np.array([0.0, 2.0])
         dev = device.with_(kerr_coeff=-0.2)
         design.residual_map(dev, 0, self.readout, 20.0, amps, phases)

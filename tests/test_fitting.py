@@ -549,6 +549,16 @@ class TestFitKerrCalibration:
         assert result.values["kerr_khz"] == pytest.approx(kerr_khz, abs=1.0)
         assert result.values["volt_to_eps"] == pytest.approx(0.02, rel=1e-3)
 
+    def test_one_complex_rate_per_fit(self, device, monkeypatch):
+        # the model evaluates the cubic at the fit's own rate; it rebuilds no device
+        import cavreset.fitting
+
+        calls = []
+        rate = cavreset.fitting.complex_rate
+        monkeypatch.setattr(cavreset.fitting, "complex_rate", lambda *a: calls.append(a) or rate(*a))
+        result = fit_kerr_calibration(self.synth_points(device), device)
+        assert result.iterations > 1 and len(calls) == 1
+
     def test_null_case(self, device):
         result = fit_kerr_calibration(self.synth_points(device, kerr_khz=0.0), device)
         assert abs(result.values["kerr_khz"]) < 0.1

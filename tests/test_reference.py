@@ -19,11 +19,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavreset import DriveSegment, PulseSchedule, default_device, design, sspe_optimize
+from cavreset import DriveSegment, PulseSchedule, default_device, design, dynamics, ring_up_segment, sspe_optimize
 from cavreset.core import MHZ_TO_RAD_NS, complex_rate, critical_photon_number
 from cavreset.design import DESIGN_DT
-from cavreset.dynamics import _gbs_grid, _gbs_steps, ode_final_alpha
-from cavreset.scenarios import _ring_up_ends
+from cavreset.dynamics import _Cavity, _gbs_grid, _gbs_steps, ode_final_alpha
 
 _SPEC = importlib.util.spec_from_file_location(
     "cavreset_reference", Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
@@ -103,7 +102,7 @@ def map_gaps(monkeypatch, dev, refdev, state: int, readout: DriveSegment, durati
         fields.append(out.copy())
         return out
 
-    monkeypatch.setattr(design, "_gbs_grid", record)
+    monkeypatch.setattr(dynamics, "_gbs_grid", record)
     rmap = design.residual_map(dev, state, readout, duration, amps, phases, chi_source=CHI)
     cells = np.concatenate(fields)
     assert np.array_equal(rmap.residual.ravel(), np.abs(cells) ** 2)
@@ -184,6 +183,8 @@ def test_appc_ring_up_ladder(source, duration):
     dev = base.with_(kerr_coeff=-0.011)
     refdev = dataclasses.asdict(dev)
     ladder = [1.0, 5.0, 10.0, 15.0, 20.0, 0.8 * critical_photon_number(base)]
-    eps, ends = _ring_up_ends(dev, 0, ladder, duration, source)
+    # the two calls appC_calibration makes
+    eps = np.array([ring_up_segment(dev, 0, n, duration, source).amplitude for n in ladder])
+    ends = _Cavity.of(dev, source).grid_ends(0, 0j, eps, duration, float(eps.max()))
     for drive, end in zip(eps, ends):
         assert gap(end, ref.endpoint(refdev, 0, source, [(complex(drive), duration)])) <= SMOOTH

@@ -103,6 +103,11 @@ class TestRamseyDataset:
         with pytest.raises(ConfigError):
             gen_ramsey_dataset(simple_model(device), [])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, device, bad):
+        with pytest.raises(ConfigError, match="finite"):
+            gen_ramsey_dataset(simple_model(device), [0.0, bad, 1.0])
+
 
 class TestBackactionSequence:
     def test_indices_and_values(self):
@@ -188,6 +193,13 @@ class TestSpectroscopy:
         args = {"chi": -1.4757, "linewidth": 4.0, "line_center": 0.0, arg: bad}
         with pytest.raises(ConfigError):
             gen_spectroscopy(self.make_traj(device), freq_grid=np.arange(-40.0, 10.0, 0.1), **args)
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_non_finite_frequency_rejected(self, device, bad):
+        grid = np.arange(-40.0, 10.0, 0.1)
+        grid[7] = bad
+        with pytest.raises(ConfigError, match="finite"):
+            gen_spectroscopy(self.make_traj(device), -1.4757, 4.0, grid)
 
     def test_lorentzian_shape(self, device):
         traj = self.make_traj(device)
