@@ -26,22 +26,38 @@ def write_json(path: str | Path, payload: object) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def csv_lines(width: int, rows: Iterable[Sequence[float]]) -> str:
+    """The lines `write_csv` writes for `rows` under a header of `width` fields.
+
+    Raises:
+        ConfigError: a row does not hold `width` numbers.
+    """
+    # a formatted number never needs csv quoting, so the rows skip csv.writer
+    line = ",".join(["%.17g"] * width) + "\r\n"
+    buf = io.StringIO()
+    try:
+        buf.writelines(line % tuple(row) for row in rows)
+    except TypeError as exc:
+        raise ConfigError(f"every CSV row needs {width} numbers: {exc}") from exc
+    return buf.getvalue()
+
+
 def write_csv(
-    path: str | Path, header: Sequence[str], rows: Iterable[Sequence[float]]
+    path: str | Path, header: Sequence[str], rows: Iterable[Sequence[float]], head: str = ""
 ) -> None:
     """Header line, then one line per row with full float precision (deterministic bytes).
+
+    `head` holds lines that `csv_lines` formatted for the same header; they
+    come before `rows`.
 
     Raises:
         ConfigError: a row does not hold one number per header field.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    buf = io.StringIO()
-    csv.writer(buf).writerow(header)
-    # a formatted number never needs csv quoting, so the rows skip csv.writer
-    line = ",".join(["%.17g"] * len(header)) + "\r\n"
-    try:
-        buf.writelines(line % tuple(row) for row in rows)
-    except TypeError as exc:
-        raise ConfigError(f"every CSV row needs {len(header)} numbers: {exc}") from exc
-    path.write_text(buf.getvalue(), newline="")
+    tail = csv_lines(len(header), rows)
+    # piece by piece: one string of the whole file would raise peak memory
+    with path.open("w", newline="") as f:
+        csv.writer(f).writerow(header)
+        f.write(head)
+        f.write(tail)

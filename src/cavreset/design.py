@@ -36,7 +36,7 @@ import numpy as np
 
 from ._artefacts import write_csv, write_json
 from .core import DeviceParams, QubitState
-from .dynamics import DESIGN_DT, Trajectory, _Cavity  # noqa: F401  (DESIGN_DT stays importable here)
+from .dynamics import DESIGN_DT, Trajectory, _Cavity, _write_sharing_head  # noqa: F401  (DESIGN_DT stays importable here)
 from .errors import ConfigError, NotConverged, NumericError
 from .fitting import FitResult, exp_decay_fit
 from .optimize import levenberg_marquardt
@@ -532,15 +532,21 @@ class SchemeComparison:
             "reset_duration": self.reset_duration,
             "schemes": {},
         }
+        files: dict[QubitState, dict[Path, Trajectory]] = {}
         for (scheme, state), m in sorted(self.entries.items()):
             fname = f"trajectory_{scheme}_state{int(state)}.csv"
-            m.trajectory.write_csv(out / fname)
+            files.setdefault(state, {})[out / fname] = m.trajectory
             summary["schemes"].setdefault(scheme, {})[str(int(state))] = {
                 "trajectory_csv": fname,
                 "residual_end": m.residual_end,
                 "peak_photons": m.peak_photons,
                 "rate_mhz": m.rate_mhz,
             }
+        for by_path in files.values():
+            # samples before the readout's end lie in the first segment, which
+            # every scheme of a state shares, so they hold the same bits
+            head = int(np.searchsorted(next(iter(by_path.values())).times, self.readout.duration))
+            _write_sharing_head(by_path, head)
         return summary
 
 

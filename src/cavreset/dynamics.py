@@ -27,8 +27,8 @@ The public functions take a device and a chi source.  `design` and the
 appC_calibration scenario instead build one `_Cavity` (C_0, C_1 and K_c)
 per entry point and ask it for fields; only `_Cavity` chooses between the
 closed form and a Kerr stepper and sets the step: RK4 at DESIGN_DT for
-design endpoints and their Jacobian, extrapolation for map readouts, map
-windows and ring-up ladders.
+design endpoints and their Jacobian, `_gbs_field` for one segment (a map
+readout, a ring-up rung), `_gbs_grid` for map windows.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._artefacts import write_csv
+from ._artefacts import csv_lines, write_csv
 from .core import MHZ_TO_RAD_NS, DeviceParams, QubitState, complex_rate
 from .errors import ConfigError, NumericError
 from .pulses import DriveSegment, PulseSchedule
@@ -91,11 +91,28 @@ class Trajectory:
 
     def write_csv(self, path: str | Path) -> None:
         """Write `t_ns,re_alpha,im_alpha,n` rows with full float precision."""
-        write_csv(
-            path,
-            ["t_ns", "re_alpha", "im_alpha", "n"],
-            [(t, a.real, a.imag, abs(a) ** 2) for t, a in zip(self.times.tolist(), self.alpha.tolist())],
-        )
+        write_csv(path, _TRAJECTORY_HEADER, _trajectory_rows(self))
+
+
+_TRAJECTORY_HEADER = ("t_ns", "re_alpha", "im_alpha", "n")
+
+
+def _trajectory_rows(traj: Trajectory, start: int = 0, stop: int | None = None) -> list[tuple]:
+    """The `Trajectory.write_csv` rows of samples start to stop."""
+    samples = zip(traj.times[start:stop].tolist(), traj.alpha[start:stop].tolist())
+    return [(t, a.real, a.imag, abs(a) ** 2) for t, a in samples]
+
+
+def _write_sharing_head(files: dict[Path, Trajectory], head: int) -> None:
+    """Write each trajectory as `Trajectory.write_csv` does, formatting its first `head` rows once.
+
+    The trajectories must hold the same bits in their first `head` samples,
+    as those of one `_Cavity.samples` call do inside their shared first
+    segment.
+    """
+    shared = csv_lines(len(_TRAJECTORY_HEADER), _trajectory_rows(next(iter(files.values())), 0, head))
+    for path, traj in files.items():
+        write_csv(path, _TRAJECTORY_HEADER, _trajectory_rows(traj, head), head=shared)
 
 
 def photon_number(traj: Trajectory, t: float) -> float:
@@ -438,9 +455,9 @@ def _rk4_samples(
 class _Cavity:
     """C_0, C_1 and K_c (rad/ns) of one device under one chi source.
 
-    The field questions of `design` and of appC's ring-up ladder; each
-    method picks the closed form in the linear model, or a Kerr stepper
-    and its step.
+    The field questions of `design` and of appC's ring-up ladder, one
+    `segment_end` per rung; each method picks the closed form in the
+    linear model, or a Kerr stepper and its step.
     """
 
     rates: tuple[complex, complex]

@@ -450,3 +450,13 @@ class TestCompare:
             rel = summary["schemes"][scheme]["0"]["trajectory_csv"]
             assert (tmp_path / rel).exists()
             assert "/" not in rel  # relative, flat layout
+
+    @pytest.mark.parametrize("kerr,source", [(0.0, "formula"), (0.0, "measured"), (-0.2, "formula")])
+    def test_write_matches_each_trajectory_csv(self, device, readout, tmp_path, kerr, source):
+        # the schemes of a state share their readout rows, which the bundle formats once
+        comp = compare_schemes(device.with_(kerr_coeff=kerr), (0, 1), readout, RESET, chi_source=source)
+        summary = comp.write(tmp_path / "bundle")
+        for (scheme, j), m in comp.entries.items():
+            m.trajectory.write_csv(tmp_path / "alone.csv")
+            written = tmp_path / "bundle" / summary["schemes"][scheme][str(int(j))]["trajectory_csv"]
+            assert written.read_bytes() == (tmp_path / "alone.csv").read_bytes()

@@ -645,3 +645,127 @@ class TestRk4Tangent:
         half_c = 0.5 * complex_rate(kerr_dev, 0)
         with pytest.raises(NumericError, match=r"diverged during sensitivity integration"):
             _rk4_tangent(0j, segments, half_c, kerr_dev.kerr_coeff * MHZ_TO_RAD_NS, 0.05)
+
+
+def _kerr_undriven(alpha0, c, kc, t):
+    """Exact field after t ns without drive: the Kerr term only rotates alpha."""
+    n0 = abs(alpha0) ** 2
+    return alpha0 * cmath.exp(-0.5 * c * t - 1j * kc * n0 * -math.expm1(-c.real * t) / c.real)
+
+
+class TestUndrivenKerrClosedForm:
+    """Every Kerr stepper against the exact field of an undriven segment.
+
+    With no drive n(t) = n0 e^{-kappa t}, so alpha(t) = alpha0
+    exp(-C t/2 - i K_c n0 (1 - e^{-kappa t}) / kappa).  Gaps are relative
+    to max(|alpha|, 1) from alpha0 = sqrt(n0) e^{0.7i}; each bound is 10x
+    the largest gap measured over both states and both durations.
+    """
+
+    # (K_c MHz, n0, bound of RK4 at DESIGN_DT, bound of the extrapolation steppers)
+    CASES = [
+        (-0.011, 1.0, 6e-12, 5e-12),
+        (-0.011, 400.0, 6e-12, 5e-12),
+        (-0.3, 50.0, 1.5e-9, 6e-12),
+        (-0.3, 400.0, 5e-5, 1.5e-7),
+    ]
+
+    @staticmethod
+    def _gaps(device, kerr, n0, state, duration, steppers, scale=1):
+        from cavreset.dynamics import _gbs_field, _gbs_grid, _gbs_steps, _rk4
+
+        c, kc = complex_rate(device, state), kerr * MHZ_TO_RAD_NS
+        alpha0 = math.sqrt(n0) * cmath.exp(0.7j)
+        exact = _kerr_undriven(alpha0, c, kc, duration)
+        steps = scale * _gbs_steps(alpha0, 0.0, duration, c, kc)
+        run = {
+            "rk4": lambda: _rk4(alpha0, [(0j, duration)], 0.5 * c, kc, DESIGN_DT),
+            "field": lambda: _gbs_field(alpha0, 0j, duration, 0.5 * c, kc, steps),
+            "grid": lambda: complex(_gbs_grid(alpha0, np.zeros(1, complex), duration, 0.5 * c, kc, steps)[0]),
+        }
+        return [abs(run[name]() - exact) / max(abs(exact), 1.0) for name in steppers]
+
+    @pytest.mark.parametrize("kerr,n0,rk4_bound,gbs_bound", CASES)
+    @pytest.mark.parametrize("state", [0, 1])
+    def test_every_stepper_meets_the_closed_form(self, device, kerr, n0, rk4_bound, gbs_bound, state):
+        rk4_50, field_50, grid_50 = self._gaps(device, kerr, n0, state, 50.0, ("rk4", "field", "grid"))
+        # a one-cell grid costs about 25x `_gbs_field`, so it runs at 50 ns only
+        rk4_500, field_500 = self._gaps(device, kerr, n0, state, 500.0, ("rk4", "field"))
+        assert max(rk4_50, rk4_500) <= rk4_bound
+        assert max(field_50, grid_50, field_500) <= gbs_bound
+
+    @pytest.mark.parametrize("state", [0, 1])
+    def test_extrapolation_order(self, device, state):
+        # n0 = 400 at K_c = -0.3 MHz (about 30 rad of Kerr phase): twice the
+        # macro-steps of `_gbs_steps` cut the gap about 2^9-fold
+        coarse = self._gaps(device, -0.3, 400.0, state, 50.0, ("field", "grid"))
+        fine = self._gaps(device, -0.3, 400.0, state, 50.0, ("field", "grid"), scale=2)
+        for gap_1x, gap_2x in zip(coarse, fine):
+            assert gap_2x <= 1e-10
+            assert gap_1x >= 60.0 * gap_2x
+
+
+class TestMirrorSymmetry:
+    """The two qubit states mirror each other bit for bit in every stepper.
+
+    With C_1 = conj(C_0), beta = -conj(alpha) turns the state-1 equation
+    into the state-0 one under drive conj(eps) and Kerr -K_c.  Negation and
+    conjugation are exact, and each stepper runs the same operations on both
+    sides, so alpha_1(alpha0, eps, K_c) == -conj(alpha_0(-conj(alpha0),
+    conj(eps), -K_c)), derivatives included.
+    """
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(18)
+        for kerr in (0.3, -0.3, 0.3, -0.3, 0.3, -0.3):
+            alpha0 = complex(*rng.normal(0.0, 3.0, 2))
+            drives = rng.normal(0.0, 0.05, 3) + 1j * rng.normal(0.0, 0.05, 3)
+            yield alpha0, drives, rng.uniform(5.0, 20.0, 2), kerr * MHZ_TO_RAD_NS
+
+    @staticmethod
+    def _mirror(z):
+        return -np.conj(z) if isinstance(z, np.ndarray) else -z.conjugate()
+
+    def test_rk4(self, device):
+        from cavreset.dynamics import _rk4
+
+        c0 = complex_rate(device, 0)
+        for alpha0, drives, durations, kc in self._cases():
+            segments = list(zip(drives.tolist(), durations.tolist()))
+            mirrored = [(d.conjugate(), t) for d, t in segments]
+            a1 = _rk4(alpha0, segments, 0.5 * c0.conjugate(), kc, DESIGN_DT)
+            assert a1 == self._mirror(_rk4(self._mirror(alpha0), mirrored, 0.5 * c0, -kc, DESIGN_DT))
+
+    def test_rk4_tangent(self, device):
+        from cavreset.dynamics import _rk4_tangent
+
+        c0 = complex_rate(device, 0)
+        for alpha0, drives, durations, kc in self._cases():
+            segments = [(d, t, 1.0 + 0.5j * d, 1j - d) for d, t in zip(drives.tolist(), durations.tolist())]
+            mirrored = [(d.conjugate(), t, d0.conjugate(), d1.conjugate()) for d, t, d0, d1 in segments]
+            ends = _rk4_tangent(alpha0, segments, 0.5 * c0.conjugate(), kc, DESIGN_DT)
+            other = _rk4_tangent(self._mirror(alpha0), mirrored, 0.5 * c0, -kc, DESIGN_DT)
+            assert ends == tuple(self._mirror(z) for z in other)
+
+    def test_gbs_field(self, device):
+        from cavreset.dynamics import _gbs_field, _gbs_steps
+
+        c0 = complex_rate(device, 0)
+        for alpha0, drives, durations, kc in self._cases():
+            a1, a0 = alpha0, self._mirror(alpha0)
+            for drive, duration in zip(drives[:2].tolist(), durations.tolist()):
+                steps = _gbs_steps(a1, abs(drive), duration, c0, kc)
+                a1 = _gbs_field(a1, drive, duration, 0.5 * c0.conjugate(), kc, steps)
+                a0 = _gbs_field(a0, drive.conjugate(), duration, 0.5 * c0, -kc, steps)
+            assert a1 == self._mirror(a0)
+
+    def test_gbs_grid(self, device):
+        from cavreset.dynamics import _gbs_grid, _gbs_steps
+
+        c0 = complex_rate(device, 0)
+        for alpha0, drives, durations, kc in self._cases():
+            steps = _gbs_steps(alpha0, float(np.abs(drives).max()), durations[0], c0, kc)
+            ends = _gbs_grid(alpha0, drives, durations[0], 0.5 * c0.conjugate(), kc, steps)
+            other = _gbs_grid(self._mirror(alpha0), np.conj(drives), durations[0], 0.5 * c0, -kc, steps)
+            assert np.array_equal(ends, self._mirror(other))

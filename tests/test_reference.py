@@ -182,9 +182,9 @@ def test_appc_ring_up_ladder(source, duration):
     base = default_device()
     dev = base.with_(kerr_coeff=-0.011)
     refdev = dataclasses.asdict(dev)
-    ladder = [1.0, 5.0, 10.0, 15.0, 20.0, 0.8 * critical_photon_number(base)]
-    # the two calls appC_calibration makes
-    eps = np.array([ring_up_segment(dev, 0, n, duration, source).amplitude for n in ladder])
-    ends = _Cavity.of(dev, source).grid_ends(0, 0j, eps, duration, float(eps.max()))
-    for drive, end in zip(eps, ends):
-        assert gap(end, ref.endpoint(refdev, 0, source, [(complex(drive), duration)])) <= SMOOTH
+    cavity = _Cavity.of(dev, source)
+    for n in [1.0, 5.0, 10.0, 15.0, 20.0, 0.8 * critical_photon_number(base)]:
+        # the calls appC_calibration makes per rung
+        ring_up = ring_up_segment(dev, 0, n, duration, source)
+        end = cavity.segment_end(0, 0j, ring_up)
+        assert gap(end, ref.endpoint(refdev, 0, source, [(ring_up.complex_amplitude, duration)])) <= SMOOTH
